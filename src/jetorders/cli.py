@@ -69,6 +69,9 @@ def parse_space(text):
 
     if ("monomials" in doc) == ("polynomials" in doc):
         _fail("E_SCHEMA", "give exactly one of 'monomials' or 'polynomials'")
+    key = "monomials" if "monomials" in doc else "polynomials"
+    if not isinstance(doc[key], list) or not doc[key]:
+        _fail("E_SCHEMA", f"'{key}' must be a non-empty list")
 
     if "monomials" in doc:
         seen = set()
@@ -79,8 +82,6 @@ def parse_space(text):
                 _fail("E_DUP_MONOMIAL", f"duplicate monomial {list(m)}")
             seen.add(m)
             points.append(m)
-        if not points:
-            _fail("E_SCHEMA", "'monomials' must be non-empty")
         try:
             return SubspaceV.from_monomials(nvars, points), doc
         except DependentBasisError as exc:
@@ -143,11 +144,22 @@ def parse_polytope(text):
         _fail("E_SCHEMA", f"not valid JSON: {exc}")
     if not isinstance(doc, dict) or not ({"points", "vertices"} & set(doc)):
         _fail("E_SCHEMA", "polytope document needs 'vertices' and/or 'points'")
+    edges = doc.get("edges", [])
+    if (not all(_is_point_list(doc.get(key, [])) for key in ("points", "vertices"))
+            or not isinstance(edges, list)
+            or not all(_is_point_list(e) and len(e) == 2 for e in edges)):
+        _fail("E_SCHEMA", "'points' and 'vertices' must be lists of integer points, "
+                          "'edges' a list of point pairs")
     try:
         return polytope_build(points=doc.get("points"), vertices=doc.get("vertices"),
                               edges=doc.get("edges")), doc
     except (NonSaturatedInputError, UnsupportedPolytopeError, ValueError) as exc:
         _fail("E_POLYTOPE", str(exc))
+
+
+def _is_point_list(value):
+    return isinstance(value, list) and all(
+        isinstance(p, list) and all(isinstance(c, int) for c in p) for p in value)
 
 
 def _parse_point(text, nvars):
@@ -176,10 +188,12 @@ def _resolve_seed(args, doc):
 
 def _thresholds(doc):
     doc = doc or {}
-    return {
-        "symbolic_threshold": doc.get("symbolic_threshold", SYMBOLIC_THRESHOLD),
-        "trials": doc.get("random_trials", RANDOM_TRIALS),
-    }
+    threshold = doc.get("symbolic_threshold", SYMBOLIC_THRESHOLD)
+    trials = doc.get("random_trials", RANDOM_TRIALS)
+    if not isinstance(threshold, int) or threshold < 0 or not isinstance(trials, int) or trials < 1:
+        _fail("E_SCHEMA", "'symbolic_threshold' must be an integer >= 0 and "
+                          "'random_trials' an integer >= 1")
+    return {"symbolic_threshold": threshold, "trials": trials}
 
 
 def _emit(args, report):
@@ -242,7 +256,8 @@ def _cmd_scan(args):
     seed = _resolve_seed(args, doc)
     opts = _thresholds(doc)
     pts_doc = json.loads(_read(args.points))
-    if not isinstance(pts_doc, dict) or "points" not in pts_doc:
+    if (not isinstance(pts_doc, dict) or not isinstance(pts_doc.get("points"), list)
+            or not all(isinstance(p, list) for p in pts_doc["points"])):
         _fail("E_SCHEMA", "points document must be {\"points\": [[..], ..]}")
     points = []
     for p in pts_doc["points"]:
@@ -261,6 +276,8 @@ def _cmd_minors(args):
     V, doc = parse_space(_read(args.space))
     seed = _resolve_seed(args, doc)
     opts = _thresholds(doc)
+    if args.cap < 0:
+        _fail("E_SCHEMA", "--cap must be >= 0")
     rep = weierstrass_minors(V, seed=seed, cap=args.cap, **opts)
     result = {
         "order": rep.order,
@@ -278,6 +295,8 @@ def _cmd_dv(args):
     seed = _resolve_seed(args, doc)
     if not V.is_monomial:
         _fail("E_SCHEMA", "dv requires a monomial space (weight grading)")
+    if args.order < 0 or (args.weights is not None and args.weights < 0):
+        _fail("E_SCHEMA", "--order and --weights must be >= 0")
     if args.weights is not None:
         w_bound = args.weights
         weights = sorted(
@@ -314,8 +333,10 @@ def _box_weights(nvars, bound):
 def _cmd_toric(args):
     P, doc = parse_polytope(_read(args.polytope))
     seed = _resolve_seed(args, doc)
-    rep = toric_report(P, seed=seed, with_orders=not args.no_orders,
-                       very_ample_bound=(doc or {}).get("very_ample_bound", 10))
+    bound = doc.get("very_ample_bound", 10)
+    if not isinstance(bound, int) or bound < 0:
+        _fail("E_SCHEMA", "'very_ample_bound' must be a non-negative integer")
+    rep = toric_report(P, seed=seed, with_orders=not args.no_orders, very_ample_bound=bound)
     inputs = {"points": [list(p) for p in P.points],
               "vertices": [list(v) for v in P.vertices]}
     out = _report_envelope("toric", seed, inputs, rep.to_dict())

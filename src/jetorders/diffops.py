@@ -23,7 +23,7 @@ from .algebra import (
     falling_factorial,
     op_apply,
 )
-from .linalg import SpanChecker, nullspace, rank_exact
+from .linalg import nullspace, rank_exact
 
 
 def _normalize_points(points):
@@ -216,96 +216,45 @@ def preserving_operators_truncated(V, order, coeff_degree):
     End(V).  For monomial V and a large enough truncation this agrees with
     the weight-graded computation.
     """
-    from .algebra import DifferentialOperator as Op
-
     nvars = V.nvars
     alphas = exponents_upto(nvars, order)
     betas = exponents_upto(nvars, coeff_degree)
     columns = [(b, a) for b in betas for a in alphas]
 
-    images = {}
-    universe = set()
-    for j, p in enumerate(V.basis):
-        for key in columns:
-            image = op_apply(Op.term(key[0], key[1], 1, nvars), p)
-            images[(j, key)] = image
-            universe.update(image.support())
-    universe.update(e for p in V.basis for e in p.support())
-    universe = sorted(universe)
-    col_of = {e: i for i, e in enumerate(universe)}
-
-    basis_rows = []
-    for p in V.basis:
-        row = [Fraction(0)] * len(universe)
-        for e, c in p.items():
-            row[col_of[e]] = c
-        basis_rows.append(row)
-    checker = SpanChecker(basis_rows, len(universe))
-
     # constraints: for each basis element, the residual of its image off
     # span(V) must vanish coordinate by coordinate
     constraints = {}
-    for (j, key), image in images.items():
-        vec = [Fraction(0)] * len(universe)
-        for e, c in image.items():
-            vec[col_of[e]] = c
-        residual = checker.residual(vec)
-        k = columns.index(key)
-        for coord, value in enumerate(residual):
-            if value:
-                row = constraints.setdefault((j, coord), [Fraction(0)] * len(columns))
-                row[k] += value
+    for k, (b, a) in enumerate(columns):
+        term = DifferentialOperator.term(b, a, 1, nvars)
+        for j, p in enumerate(V.basis):
+            for e, value in _residual_terms(V, op_apply(term, p)).items():
+                constraints.setdefault((j, e), [Fraction(0)] * len(columns))[k] += value
     kernel = nullspace(list(constraints.values()), len(columns))
 
     ops = []
     for vec in kernel:
         terms = {key: c for key, c in zip(columns, vec) if c}
-        ops.append(Op(nvars, terms))
+        ops.append(DifferentialOperator(nvars, terms))
 
-    # image rank in End(V): write each preserved image in the basis of V
-    from .linalg import rref
-
-    _, pivots = rref(basis_rows, len(universe))
-    flat = []
-    for op in ops:
-        matrix = []
-        for p in V.basis:
-            image = op_apply(op, p)
-            vec = [Fraction(0)] * len(universe)
-            for e, c in image.items():
-                vec[col_of[e]] = c
-            matrix.append(_coords_in_span(pivots, basis_rows, vec))
-        flat.append([e for col in zip(*matrix) for e in col])
+    flat = [[e for row in operator_matrix(op, V) for e in row] for op in ops]
     rank = rank_exact(flat, V.dim ** 2) if flat else 0
     return ops, rank
 
 
-def _coords_in_span(pivots, basis_rows, vector):
-    """Coefficients expressing `vector` in the row basis (assumes membership).
-
-    Projection onto the RREF pivot columns is injective on the row span, so
-    it suffices to solve against those coordinates."""
-    t = [vector[c] for c in pivots]
-    u = [[row[c] for c in pivots] for row in basis_rows]
-    return _solve_linear(u, t)
-
-
-def _solve_linear(matrix_rows, rhs):
-    """Solve s * M = rhs for s, with M square invertible (exact)."""
-    n = len(matrix_rows)
-    # transpose to ordinary column form: M^T s^T = rhs^T
-    aug = [[Fraction(matrix_rows[j][i]) for j in range(n)] + [Fraction(rhs[i])]
-           for i in range(n)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c])
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [e * inv for e in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return [aug[i][n] for i in range(n)]
+def _residual_terms(V, poly):
+    """Nonzero terms of `poly` minus its projection onto span(V), by exponent."""
+    inside = [0] * len(V.support_index)
+    out = {}
+    for e, c in poly.items():
+        i = V.support_index.get(e)
+        if i is None:
+            out[e] = c
+        else:
+            inside[i] = c
+    for e, value in zip(V.support_index, V.span.residual(inside)):
+        if value:
+            out[e] = value
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -391,57 +340,26 @@ class PreserveResult:
 def operator_matrix(op, V):
     """Matrix of a V-preserving operator on the ordered basis of V
     (column j = coordinates of the image of basis element j)."""
-    from .linalg import rref
-
-    support = sorted({e for p in V.basis for e in p.support()})
-    col_of = {e: i for i, e in enumerate(support)}
-    basis_rows = []
+    columns = []
     for p in V.basis:
-        row = [Fraction(0)] * len(support)
-        for e, c in p.items():
-            row[col_of[e]] = c
-        basis_rows.append(row)
-    _, pivots = rref(basis_rows, len(support))
-    matrix = [[Fraction(0)] * V.dim for _ in range(V.dim)]
-    for j, p in enumerate(V.basis):
-        image = op_apply(op, p)
-        vec = [Fraction(0)] * len(support)
-        for e, c in image.items():
-            if e not in col_of:
-                raise ValueError(f"operator does not preserve the subspace: {op}")
-            vec[col_of[e]] = c
-        for i, coeff in enumerate(_coords_in_span(pivots, basis_rows, vec)):
-            matrix[i][j] = coeff
-    return matrix
+        vec = V.coefficient_vector(op_apply(op, p))
+        if vec is None:
+            raise ValueError(f"operator does not preserve the subspace: {op}")
+        columns.append(V.span.coordinates(vec))
+    return [list(row) for row in zip(*columns)]
 
 
 def preserve_check(ops, V):
     """Exact check that each operator maps span(V) into span(V); reports the
     first violating basis element otherwise."""
-    support = sorted({e for p in V.basis for e in p.support()})
-    col = {e: i for i, e in enumerate(support)}
-    rows = []
-    for p in V.basis:
-        row = [Fraction(0)] * len(support)
-        for e, c in p.items():
-            row[col[e]] = c
-        rows.append(row)
-    checker = SpanChecker(rows, len(support))
     results = []
     for op in ops:
         if op.nvars != V.nvars:
             raise ValueError(f"operator in {op.nvars} variables applied to {V.nvars}-variable space")
         bad = None
         for i, p in enumerate(V.basis):
-            image = op_apply(op, p)
-            vec = [Fraction(0)] * len(support)
-            outside = False
-            for e, c in image.items():
-                if e not in col:
-                    outside = True
-                    break
-                vec[col[e]] = c
-            if outside or not checker.contains(vec):
+            vec = V.coefficient_vector(op_apply(op, p))
+            if vec is None or not V.span.contains(vec):
                 bad = i
                 break
         results.append(PreserveResult(op, bad is None, bad))

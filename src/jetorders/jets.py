@@ -14,6 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from .algebra import (
@@ -24,7 +25,7 @@ from .algebra import (
     multi_factorial,
     poly_divexact,
 )
-from .linalg import SpanChecker, rank_exact
+from .linalg import SpanChecker, det_exact, rank_exact
 
 #: default side length above which symbolic elimination is not attempted
 SYMBOLIC_THRESHOLD = 12
@@ -88,17 +89,8 @@ class SubspaceV:
             raise DependentBasisError("duplicate monomial in basis")
         self.monomial_points = monomial_points
 
-        if monomial_points is None:
-            support = sorted({e for p in basis for e in p.support()})
-            index = {e: i for i, e in enumerate(support)}
-            rows = []
-            for p in basis:
-                row = [Fraction(0)] * len(support)
-                for e, c in p.items():
-                    row[index[e]] = c
-                rows.append(row)
-            if rank_exact(rows) != len(basis):
-                raise DependentBasisError("basis is linearly dependent over Q")
+        if monomial_points is None and self.span.rank != len(basis):
+            raise DependentBasisError("basis is linearly dependent over Q")
 
         self.max_degree = max(int(p.degree) for p in basis)
         self._generic_cache = {}
@@ -112,6 +104,31 @@ class SubspaceV:
     @property
     def dim(self):
         return len(self.basis)
+
+    @cached_property
+    def support_index(self):
+        """Column of each exponent of the support of the basis, in sorted order."""
+        support = sorted({e for p in self.basis for e in p.support()})
+        return {e: i for i, e in enumerate(support)}
+
+    @cached_property
+    def span(self):
+        """The coefficient matrix of the basis over `support_index`, as a
+        SpanChecker: membership in V and coordinates in the basis.  A dense
+        basis builds it at construction, a monomial one on first use."""
+        return SpanChecker([self.coefficient_vector(p) for p in self.basis],
+                           len(self.support_index))
+
+    def coefficient_vector(self, poly):
+        """Coefficients of `poly` over `support_index`, or None when `poly`
+        has a term outside the support of the basis."""
+        vec = [0] * len(self.support_index)
+        for e, c in poly.items():
+            i = self.support_index.get(e)
+            if i is None:
+                return None
+            vec[i] = c
+        return vec
 
     @property
     def is_monomial(self):
@@ -505,32 +522,6 @@ def _det_polynomial(rows):
     return states.get(tuple(range(d)), Polynomial.zero(nvars))
 
 
-def _det_int(rows):
-    """Fraction-free determinant of a square integer matrix."""
-    m = [list(r) for r in rows]
-    d = len(m)
-    sign = 1
-    prev = 1
-    for c in range(d - 1):
-        piv = None
-        for i in range(c, d):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        pivot = m[c][c]
-        for i in range(c + 1, d):
-            f = m[i][c]
-            for j in range(c + 1, d):
-                m[i][j] = (m[i][j] * pivot - f * m[c][j]) // prev
-        prev = pivot
-    return sign * m[d - 1][d - 1]
-
-
 def weierstrass_minors(V, seed=0, cap=200, symbolic_threshold=SYMBOLIC_THRESHOLD,
                        trials=RANDOM_TRIALS):
     """All nonzero maximal minors of the symbolic jet matrix at the generic
@@ -551,7 +542,7 @@ def weierstrass_minors(V, seed=0, cap=200, symbolic_threshold=SYMBOLIC_THRESHOLD
         if monomial:
             ints = [[binomial_product(m, J.columns[j]) for j in combo]
                     for m in V.monomial_points]
-            c = _det_int(ints)
+            c = det_exact(ints)
             if c:
                 exp = [0] * V.nvars
                 for m in V.monomial_points:
@@ -570,16 +561,3 @@ def in_minor_zero_locus(report, point):
     """True when every minor vanishes at the rational point."""
     return all(m(point) == 0 for m in report.minors)
 
-
-def span_checker(V):
-    """Membership test for span(V) in coefficient space; used by callers
-    that need `does this polynomial lie in V`."""
-    support = sorted({e for p in V.basis for e in p.support()})
-    index = {e: i for i, e in enumerate(support)}
-    rows = []
-    for p in V.basis:
-        row = [Fraction(0)] * len(support)
-        for e, c in p.items():
-            row[index[e]] = c
-        rows.append(row)
-    return SpanChecker(rows, len(support)), index

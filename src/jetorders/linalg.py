@@ -1,11 +1,16 @@
 """Exact linear algebra over the rationals.
 
 Everything here is integer/Fraction arithmetic; no floating point is used
-anywhere.  Ranks are computed by fraction-free (Bareiss) elimination after
-clearing denominators.  A modular elimination pass (numpy, single word
-primes) is used as a fast path, but its result is only trusted when it
-certifies itself: a rank mod p is always a lower bound for the rational
-rank, so hitting min(rows, cols) proves the exact answer.
+anywhere.  One fraction-free (Bareiss) elimination over Z, `_eliminate`,
+is the only elimination over Q: each row is first scaled by the lcm of its
+denominators, which changes neither the row space nor the pivot columns.
+Rank, reduced row echelon form, kernel, determinant and coordinates in a
+row basis are all read off its result.
+
+`rank_exact` tries a modular elimination (numpy, single word primes)
+first on large matrices.  A rank mod p is always a lower bound for the
+rational rank, so that pass is trusted only when it reaches
+min(rows, cols); otherwise the exact elimination decides.
 """
 
 from __future__ import annotations
@@ -61,38 +66,53 @@ def _rank_mod_p(int_rows, ncols, p):
     return r
 
 
-def _rank_bareiss(int_rows, ncols):
-    m = [row[:] for row in int_rows]
+def _eliminate(int_rows, ncols, reduced=False):
+    """Fraction-free (Bareiss) elimination of an integer matrix.
+
+    Returns (echelon rows, pivot columns, det) where det is the last
+    pivot, negated once per row swap; for a square invertible matrix it is
+    the determinant.  Every division is exact (Bareiss 1968).  With
+    `reduced`, rows above each pivot are cleared as well (fraction-free
+    Gauss-Jordan), so each row divided by its pivot entry is a row of the
+    reduced row echelon form.  Stops as soon as every row holds a pivot.
+    """
+    m = [list(row) for row in int_rows]
     nrows = len(m)
-    rank = 0
+    pivots = []
     prev = 1
+    sign = 1
     for c in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if m[i][c]:
-                piv = i
+        r = len(pivots)
+        for piv in range(r, nrows):
+            if m[piv][c]:
                 break
-        if piv is None:
+        else:
             continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        pivot = m[rank][c]
-        prow = m[rank]
-        for i in range(rank + 1, nrows):
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        prow = m[r]
+        p = prow[c]
+        # rows below the pivot are zero before column c; rows above are not
+        # (their own pivots and free columns change too)
+        cols = range(ncols) if reduced else range(c + 1, ncols)
+        for i in range(0 if reduced else r + 1, nrows):
+            if i == r:
+                continue
             row = m[i]
             f = row[c]
             if f:
-                for j in range(c + 1, ncols):
-                    row[j] = (row[j] * pivot - f * prow[j]) // prev
+                for j in cols:
+                    row[j] = (row[j] * p - f * prow[j]) // prev
                 row[c] = 0
-            elif pivot != prev:
-                for j in range(c + 1, ncols):
-                    row[j] = row[j] * pivot // prev
-        prev = pivot
-        rank += 1
-        if rank == nrows:
+            elif p != prev:
+                for j in cols:
+                    row[j] = row[j] * p // prev
+        pivots.append(c)
+        prev = p
+        if len(pivots) == nrows:
             break
-    return rank
+    return m[:len(pivots)], pivots, sign * prev
 
 
 def rank_exact(rows, ncols=None):
@@ -110,70 +130,81 @@ def rank_exact(rows, ncols=None):
         for p in _PRIMES:
             if _rank_mod_p(ints, ncols, p) == ceiling:
                 return ceiling
-    return _rank_bareiss(ints, ncols)
+    return len(_eliminate(ints, ncols)[1])
+
+
+def det_exact(rows):
+    """Determinant of a square integer matrix."""
+    n = len(rows)
+    _, pivots, det = _eliminate(rows, n)
+    return det if len(pivots) == n else 0
 
 
 def rref(rows, ncols):
     """Reduced row echelon form over Fraction.  Returns (rows, pivot_cols)."""
-    m = [[Fraction(e) for e in row] for row in rows]
-    nrows = len(m)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [e * inv for e in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
+    reduced, pivots, _ = _eliminate(_as_integer_rows(rows), ncols, reduced=True)
+    return [[Fraction(a, row[pc]) for a in row] for row, pc in zip(reduced, pivots)], pivots
 
 
 def nullspace(rows, ncols):
     """Basis of the right kernel, one Fraction vector per free column."""
-    reduced, pivots = rref(rows, ncols)
+    reduced, pivots, _ = _eliminate(_as_integer_rows(rows), ncols, reduced=True)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
+        for row, pc in zip(reduced, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
 
 
 class SpanChecker:
-    """Incremental membership test for the row span of a rational matrix."""
+    """Membership and coordinates for the row span of a rational matrix B.
+
+    Eliminates [B | I] in reduced form once.  Each row whose pivot lies in
+    the B block is a multiple of a row of the RREF of B, and its I block
+    holds the same multiple of the combination of B's rows that gives it.
+    """
 
     def __init__(self, rows, ncols):
         self.ncols = ncols
-        self._rref, self._pivots = rref(rows, ncols) if rows else ([], [])
+        self._nrows = n = len(rows)
+        augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+        reduced, pivots, _ = _eliminate(_as_integer_rows(augmented), ncols + n, reduced=True)
+        self._pivots = [pc for pc in pivots if pc < ncols]
+        self._rows = reduced[:len(self._pivots)]
 
     @property
     def rank(self):
         return len(self._pivots)
 
     def residual(self, vector):
+        """`vector` minus its projection along the RREF rows; zero iff it is
+        in the span."""
         v = [Fraction(e) for e in vector]
-        for row, pc in zip(self._rref, self._pivots):
+        for row, pc in zip(self._rows, self._pivots):
             f = v[pc]
             if f:
+                f /= row[pc]
                 v = [a - f * b for a, b in zip(v, row)]
         return v
 
     def contains(self, vector):
         return not any(self.residual(vector))
+
+    def coordinates(self, vector):
+        """Coefficients c with sum_i c_i B_i == vector, for a member vector.
+
+        A member of the span is the sum of the RREF rows weighted by its own
+        entries at the pivot columns; the I block turns that sum into
+        coefficients on the rows of B."""
+        out = [Fraction(0)] * self._nrows
+        for row, pc in zip(self._rows, self._pivots):
+            f = Fraction(vector[pc], row[pc])
+            if f:
+                out = [a + f * b for a, b in zip(out, row[self.ncols:])]
+        return out

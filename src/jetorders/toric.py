@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, gcd
 
 from .algebra import exponents_upto
@@ -25,7 +26,7 @@ from .jets import (
     generic_rank,
     jet_matrix,
 )
-from .linalg import rank_exact
+from .linalg import SpanChecker, det_exact, rank_exact
 
 
 class DegeneratePolytopeError(ValueError):
@@ -118,9 +119,14 @@ class LatticePolytope:
         self.faces = tuple(faces)
         self.facets = tuple(facets)  # supporting data for cone computations
 
-    @property
+    @cached_property
     def dim(self):
         return _affine_dim(self.points)
+
+    @cached_property
+    def smoothness(self):
+        """The SmoothnessReport of `smooth_check`, evaluated once."""
+        return smooth_check(self)
 
     def __repr__(self):
         return f"LatticePolytope(nvars={self.nvars}, points={len(self.points)}, vertices={len(self.vertices)})"
@@ -429,29 +435,15 @@ def smooth_check(P):
             diags.append((v, len(dirs), None))
             ok = False
             continue
-        det = abs(_det_int_matrix([list(d) for d in dirs]))
+        det = abs(det_exact([list(d) for d in dirs]))
         diags.append((v, len(dirs), det))
         if det != 1:
             ok = False
     return SmoothnessReport(ok, tuple(diags))
 
 
-def _det_int_matrix(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _det_int_matrix(minor)
-        total += term if j % 2 == 0 else -term
-    return total
-
-
 def _require_smooth(P):
-    report = smooth_check(P)
+    report = P.smoothness
     if not report.smooth:
         raise BasisConditionError(
             f"basis condition fails at vertex {report.failing_vertices()[0]}"
@@ -486,7 +478,7 @@ def very_ample_check(P, search_bound=10, use_smooth_shortcut=True):
     """
     if P.dim != P.nvars:
         raise DegeneratePolytopeError("very-ampleness test needs a full-dimensional polytope")
-    if use_smooth_shortcut and smooth_check(P).smooth:
+    if use_smooth_shortcut and P.smoothness.smooth:
         return True
     if P.nvars > 3 or (P.nvars == 3 and not P.facets):
         raise UnsupportedPolytopeError(
@@ -693,20 +685,12 @@ def _integer_inverse_unimodular(cols):
     """Inverse of a unimodular integer matrix given by columns."""
     n = len(cols)
     rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-    det = _det_int_matrix(rows)
-    if det not in (1, -1):
+    if det_exact(rows) not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    inv = []
-    for i in range(n):
-        inv_row = []
-        for j in range(n):
-            minor = [r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j]
-            cof = _det_int_matrix(minor) if minor else 1
-            if (i + j) % 2:
-                cof = -cof
-            inv_row.append(cof * det)  # det is +-1 so this is division by det
-        inv.append(inv_row)
-    return inv
+    # row k of the inverse holds the coordinates of the k-th unit vector
+    span = SpanChecker(rows, n)
+    return [[int(c) for c in span.coordinates([int(i == k) for i in range(n)])]
+            for k in range(n)]
 
 
 def vertex_chart(P, vertex, directions=None):
@@ -789,8 +773,14 @@ def n_inj_max(P):
     source vertex.  Cross-checked against the translate recursion over all
     faces."""
     _require_smooth(P)
-    by_vertex = max(n_inj_vertex_formula(P, v) for v in P.vertices)
-    by_faces = max(n_inj_face(P, f) for f in P.faces)
+    return _checked_max([n_inj_vertex_formula(P, v) for v in P.vertices],
+                        [n_inj_face(P, f) for f in P.faces])
+
+
+def _checked_max(vertex_orders, face_orders):
+    """Maximum of the vertex-formula orders, checked against the face recursion."""
+    by_vertex = max(vertex_orders)
+    by_faces = max(face_orders)
     if by_vertex != by_faces:
         raise RuntimeError(
             f"vertex formula ({by_vertex}) and face recursion ({by_faces}) disagree"
@@ -896,20 +886,22 @@ class ToricReport:
 
 def toric_report(P, seed=0, with_orders=True, very_ample_bound=10):
     """Full invariant report; orbit orders require the basis condition."""
-    smooth = smooth_check(P) if P.dim == P.nvars else SmoothnessReport(False, ())
+    smooth = P.smoothness if P.dim == P.nvars else SmoothnessReport(False, ())
     hilbert = n_inj_hilbert(P.points)
     va = very_ample_check(P, very_ample_bound) if P.dim == P.nvars else False
     s = edge_stats(P).s if P.edges else None
     if with_orders:
         _require_smooth(P)
-        faces = tuple(sorted((f.label(), n_inj_face(P, f)) for f in P.faces))
-        nmax = n_inj_max(P)
+        face_orders = [(f.label(), n_inj_face(P, f)) for f in P.faces]
+        vertex_orders = tuple((v, n_inj_vertex_formula(P, v)) for v in P.vertices)
+        nmax = _checked_max([value for _, value in vertex_orders],
+                            [value for _, value in face_orders])
+        faces = tuple(sorted(face_orders))
         ns = n_surj_toric(P)
         try:
             n1 = n1_surj_toric(P, seed=seed)
         except UnsupportedPolytopeError:
             n1 = None  # explicit-data polytopes above rank 3 carry no facet data
-        vertex_orders = tuple((v, n_inj_vertex_formula(P, v)) for v in P.vertices)
     else:
         faces, nmax, ns, n1, vertex_orders = (), None, None, None, ()
     return ToricReport(

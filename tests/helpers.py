@@ -8,6 +8,41 @@ from jetorders.toric import polytope_build
 from jetorders.verify import hirzebruch_points
 
 
+def oracle_rref(rows, ncols):
+    """Reference Gauss-Jordan elimination over Fraction: (rows, pivot_cols)."""
+    m = [[Fraction(e) for e in row] for row in rows]
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [e * inv for e in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m[:r], pivots
+
+
+def oracle_det(rows):
+    """Reference determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    total = 0
+    for j, a in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+        total += (-1) ** j * a * oracle_det(minor)
+    return total
+
+
 def rational_point(rng, nvars, nonzero=True):
     pt = []
     for _ in range(nvars):

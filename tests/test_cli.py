@@ -194,3 +194,34 @@ def test_seed_from_file(tmp_path, capsys):
     space = write(tmp_path, "s.json", {"nvars": 1, "monomials": [[0], [1]], "seed": 3})
     code, out, _ = run_cli(capsys, "orders", "--space", space, "--generic", "--json")
     assert code == 0 and json.loads(out)["seed"] == 3
+
+
+MONOMIAL_SPACE = {"nvars": 1, "monomials": [[0], [1], [3]]}
+TRIANGLE = {"vertices": [[0, 0], [1, 0], [0, 1]]}
+MALFORMED_INPUTS = [
+    (["orders", "--space", "{space}", "--generic"], {"space": {"nvars": 2, "monomials": 5}}),
+    (["orders", "--space", "{space}", "--generic"], {"space": {"nvars": 2, "polynomials": 5}}),
+    (["scan", "--space", "{space}", "--points", "{points}"],
+     {"space": MONOMIAL_SPACE, "points": {"points": [5]}}),
+    (["scan", "--space", "{space}", "--points", "{points}"],
+     {"space": MONOMIAL_SPACE, "points": {"points": 5}}),
+    (["orders", "--space", "{space}", "--generic"],
+     {"space": {"nvars": 1, "polynomials": [{"[0]": "1", "[1]": "1"}], "symbolic_threshold": "a"}}),
+    (["orders", "--space", "{space}", "--generic"],
+     {"space": dict(MONOMIAL_SPACE, random_trials=0)}),
+    (["minors", "--space", "{space}", "--cap", "-1"], {"space": MONOMIAL_SPACE}),
+    (["dv", "--space", "{space}", "--order", "-1"], {"space": MONOMIAL_SPACE}),
+    (["dv", "--space", "{space}", "--order", "1", "--weights", "-1"], {"space": MONOMIAL_SPACE}),
+    (["toric", "--polytope", "{polytope}", "--report"],
+     {"polytope": dict(TRIANGLE, very_ample_bound=-1)}),
+    (["toric", "--polytope", "{polytope}", "--report"], {"polytope": {"points": [5]}}),
+    (["toric", "--polytope", "{polytope}", "--report"],
+     {"polytope": {"vertices": [[0, 0], [1, 0], [0, 1.5]]}}),
+]
+
+
+def test_malformed_input_exits_2_with_schema_error(tmp_path, capsys):
+    for argv, docs in MALFORMED_INPUTS:
+        paths = {name: write(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
+        code, _, err = run_cli(capsys, *[a.format(**paths) for a in argv])
+        assert code == 2 and err.startswith("error[E_SCHEMA]"), (argv, docs, err)

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from jetorders import toric
 from jetorders.toric import (
     BasisConditionError,
     DegeneratePolytopeError,
@@ -251,3 +254,19 @@ def test_rank_four_explicit_data():
     assert n_inj_max(P) == 4  # opposite corner, coordinate sum 4
     with _pytest.raises(UnsupportedPolytopeError):
         n1_surj_toric(P)  # no facet data above rank 3
+
+
+def test_toric_report_computes_each_invariant_once(monkeypatch):
+    P = simplex(4, n=3)
+    assert len(P.faces) == 15 and len(P.vertices) == 4
+    calls = Counter()
+    for name in ("n_inj_face", "n_inj_vertex_formula", "smooth_check", "_affine_dim"):
+        def counted(*args, _name=name, _original=getattr(toric, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(toric, name, counted)
+    rep = toric_report(P)
+    assert rep.n_inj_max == 4 and len(rep.n_inj_by_face) == 15
+    assert calls == {"n_inj_face": 15, "n_inj_vertex_formula": 4, "smooth_check": 1,
+                     "_affine_dim": 1}
