@@ -15,7 +15,7 @@ import sys
 
 from . import __version__
 from .algebra import Polynomial, parse_rational
-from .diffops import evaluation_image, preserving_weight_space, weight_window
+from .diffops import evaluation_image, preserving_weight_space
 from .jets import (
     GENERIC,
     RANDOM_TRIALS,
@@ -297,23 +297,18 @@ def _cmd_dv(args):
         _fail("E_SCHEMA", "dv requires a monomial space (weight grading)")
     if args.order < 0 or (args.weights is not None and args.weights < 0):
         _fail("E_SCHEMA", "--order and --weights must be >= 0")
-    if args.weights is not None:
-        w_bound = args.weights
-        weights = sorted(
-            w for w in _box_weights(V.nvars, w_bound)
-        )
-    else:
-        weights = weight_window(V)
-    table = []
-    for w in weights:
-        space = preserving_weight_space(V, w, args.order)
-        table.append({
-            "weight": list(w),
-            "dim": space.dimension,
-            "annihilator_dim": space.annihilator_dim,
-            "basis": [str(op) for op in space.basis],
-        })
     image = evaluation_image(V, args.order)
+    if args.weights is not None:
+        spaces = [preserving_weight_space(V, w, args.order)
+                  for w in sorted(_box_weights(V.nvars, args.weights))]
+    else:
+        spaces = image.spaces  # the weights of P - P, solved once by evaluation_image
+    table = [{
+        "weight": list(space.weight),
+        "dim": space.dimension,
+        "annihilator_dim": space.annihilator_dim,
+        "basis": [str(op) for op in space.basis],
+    } for space in spaces]
     result = {
         "order": args.order,
         "end_image_rank": image.rank,

@@ -113,6 +113,7 @@ class EndImage:
     matrices: tuple  # flattened dim*dim rational vectors, one per spanning operator
     rank: int
     by_weight: tuple  # ((weight, preserving dim, annihilator dim), ...)
+    spaces: tuple  # the WeightSpace of each weight of P - P, in the same order
 
     @property
     def full(self):
@@ -128,8 +129,10 @@ def evaluation_image(V, order):
     dim = len(points)
     flat = []
     by_weight = []
+    spaces = []
     for w in weight_window(points):
         space = preserving_weight_space(points, w, order)
+        spaces.append(space)
         by_weight.append((w, space.dimension, space.annihilator_dim))
         for vec_op in space.basis:
             matrix = [[Fraction(0)] * dim for _ in range(dim)]
@@ -143,7 +146,7 @@ def evaluation_image(V, order):
             flat.append([e for row in matrix for e in row])
     rank = rank_exact(flat, dim * dim) if flat else 0
     return EndImage(dim=dim, matrices=tuple(map(tuple, flat)), rank=rank,
-                    by_weight=tuple(by_weight))
+                    by_weight=tuple(by_weight), spaces=tuple(spaces))
 
 
 def check_irreducible(V, order):

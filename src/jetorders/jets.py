@@ -6,6 +6,17 @@ lexicographically); the entry is d^alpha(p)/alpha!.  Rank-deficiency of rows
 gives the injectivity order at the point, rank-deficiency of columns the
 jet (surjectivity) order.  At the generic point, ranks are taken over the
 rational function field.
+
+Because the columns are ordered by degree, the order-n jet matrix is the
+first C(n + nvars, nvars) columns of every higher-order one, so the whole
+rank profile r_0 <= r_1 <= ... is read off the pivot columns of one
+elimination of the top-order matrix (`linalg.prefix_ranks`).  A monomial
+subspace builds no jet matrix at all: on the torus orbit with zero
+coordinates Z (Z is empty at the generic point) its jet matrix is
+D_r C_Z D_c with D_r, D_c invertible and diagonal, so the exact profile
+comes from the integer matrix C_Z of `binomial_rows`.  A dense subspace
+eliminates one jet matrix of order max_degree at a rational point, and at
+the generic point still ranks one symbolic jet matrix per order.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from .algebra import (
     multi_factorial,
     poly_divexact,
 )
-from .linalg import SpanChecker, det_exact, rank_exact
+from .linalg import SpanChecker, det_exact, prefix_ranks, rank_exact
 
 #: default side length above which symbolic elimination is not attempted
 SYMBOLIC_THRESHOLD = 12
@@ -180,9 +191,7 @@ def jet_matrix(V, n, at=GENERIC):
     cols = exponents_upto(V.nvars, n)
     symbolic = at is GENERIC
     if not symbolic:
-        at = tuple(as_exact(c) for c in at)
-        if len(at) != V.nvars:
-            raise ValueError(f"point has {len(at)} coordinates, expected {V.nvars}")
+        at = _exact_point(V, at)
     rows = []
     for p in V.basis:
         m = p.monomial_exponent
@@ -211,6 +220,31 @@ def jet_matrix(V, n, at=GENERIC):
         rows.append(tuple(row))
     return JetMatrix(n, GENERIC if symbolic else at, tuple(cols), tuple(rows),
                      V.monomial_points)
+
+
+def _exact_point(V, at):
+    point = tuple(as_exact(c) for c in at)
+    if len(point) != V.nvars:
+        raise ValueError(f"point has {len(point)} coordinates, expected {V.nvars}")
+    return point
+
+
+def binomial_rows(points, n, zeros=()):
+    """The integer matrix C_Z of the monomial space on `points` at order n.
+
+    Entry (m, alpha) is C(m, alpha) when alpha <= m and m_i = alpha_i for
+    every i in `zeros`, and 0 otherwise; the columns are those of the
+    order-n jet matrix.  At a point a with zero coordinates Z the jet matrix
+    is D_r C_Z D_c with D_r = diag(prod_{i not in Z} a_i^m_i) and
+    D_c = diag(prod_{i not in Z} a_i^-alpha_i): the entry C(m, alpha)
+    a^(m - alpha) vanishes exactly when some coordinate in Z carries a
+    positive exponent.  The same holds over the function field of the
+    orbit {x_i = 0 for i in Z}, and with Z empty at the generic point.
+    """
+    cols = exponents_upto(len(points[0]), n)
+    return [[binomial_product(m, a) if all(m[i] == a[i] for i in zeros) else 0
+             for a in cols]
+            for m in points]
 
 
 # ---------------------------------------------------------------------------
@@ -402,34 +436,46 @@ class OrderReport:
         }
 
 
+def _zero_pattern(point):
+    return tuple(i for i, c in enumerate(point) if c == 0)
+
+
 def _profile(V, at, seed, symbolic_threshold, trials):
-    """Rank profile r_0 <= r_1 <= ... up to the first full-rank order."""
-    ranks = []
-    methods = set()
-    for n in range(V.max_degree + 1):
-        res = rank_of_jet_matrix(jet_matrix(V, n, at), seed, symbolic_threshold, trials)
-        methods.add(res.method)
-        value = res.value
-        if ranks and value < ranks[-1]:
+    """Rank profile r_0 <= r_1 <= ... up to the first full-rank order, and
+    the rank method that produced it (`at` is GENERIC or an exact point).
+
+    Except for a dense V at the generic point, the profile is the column
+    prefix ranks of one matrix at order max_degree: C_Z for monomial V,
+    the jet matrix itself for dense V at a point."""
+    top = V.max_degree
+    if V.is_monomial or at is not GENERIC:
+        if V.is_monomial:
+            zeros = () if at is GENERIC else _zero_pattern(at)
+            rows = binomial_rows(V.monomial_points, top, zeros)
+        else:
+            rows = jet_matrix(V, top, at).entries
+        ranks = prefix_ranks(rows, [comb(n + V.nvars, V.nvars) for n in range(top + 1)])
+        method = "monomial-scaling" if at is GENERIC else "exact"
+    else:
+        ranks = []
+        methods = set()
+        for n in range(top + 1):
+            res = rank_of_jet_matrix(jet_matrix(V, n, at), seed, symbolic_threshold, trials)
+            methods.add(res.method)
             # randomized estimates are lower bounds; ranks never decrease in n
-            value = ranks[-1]
-        ranks.append(value)
-        if value == V.dim:
-            return ranks, methods
-    raise InternalConsistencyError(
-        f"jet rank of a {V.dim}-dimensional independent subspace did not reach "
-        f"{V.dim} by order {V.max_degree}"
-    )
+            ranks.append(max(res.value, ranks[-1]) if ranks else res.value)
+            if ranks[-1] == V.dim:
+                break
+        method = "+".join(sorted(methods))
+    if V.dim not in ranks:
+        raise InternalConsistencyError(
+            f"jet rank of a {V.dim}-dimensional independent subspace did not reach "
+            f"{V.dim} by order {top}"
+        )
+    return tuple(ranks[:ranks.index(V.dim) + 1]), method
 
 
-def n_inj_at(V, at=GENERIC, seed=0, generic_order=None,
-             symbolic_threshold=SYMBOLIC_THRESHOLD, trials=RANDOM_TRIALS):
-    """Smallest n making the order-n Taylor map of V injective at `at`.
-
-    Returns the full OrderReport (rank profile, gap sequence, jet order and
-    Weierstrass order against the generic injectivity order).
-    """
-    ranks, methods = _profile(V, at, seed, symbolic_threshold, trials)
+def _order_report(V, at, ranks, method, generic_order):
     n_inj = len(ranks) - 1
     gaps = tuple(i for i in range(1, len(ranks)) if ranks[i] > ranks[i - 1])
 
@@ -442,21 +488,32 @@ def n_inj_at(V, at=GENERIC, seed=0, generic_order=None,
 
     if at is GENERIC:
         generic_order = n_inj
-    elif generic_order is None:
-        generic_order = V.generic_report(seed, symbolic_threshold, trials).n_inj
-
-    method = "exact" if at is not GENERIC else "+".join(sorted(methods))
     return OrderReport(
-        point=at if at is GENERIC else tuple(as_exact(c) for c in at),
+        point=at,
         n_inj=n_inj,
         n_surj=n_surj,
         gap_sequence=gaps,
-        rank_profile=tuple(ranks),
+        rank_profile=ranks,
         weierstrass_order=n_inj - generic_order - 1,
         n_inj_generic=generic_order,
         dim=V.dim,
         method=method,
     )
+
+
+def n_inj_at(V, at=GENERIC, seed=0, generic_order=None,
+             symbolic_threshold=SYMBOLIC_THRESHOLD, trials=RANDOM_TRIALS):
+    """Smallest n making the order-n Taylor map of V injective at `at`.
+
+    Returns the full OrderReport (rank profile, gap sequence, jet order and
+    Weierstrass order against the generic injectivity order).
+    """
+    if at is not GENERIC:
+        at = _exact_point(V, at)
+    ranks, method = _profile(V, at, seed, symbolic_threshold, trials)
+    if at is not GENERIC and generic_order is None:
+        generic_order = V.generic_report(seed, symbolic_threshold, trials).n_inj
+    return _order_report(V, at, ranks, method, generic_order)
 
 
 def n_surj_at(V, at, seed=0):
@@ -470,13 +527,22 @@ def n_surj_at(V, at, seed=0):
 
 def weierstrass_scan(V, points, seed=0, symbolic_threshold=SYMBOLIC_THRESHOLD,
                      trials=RANDOM_TRIALS):
-    """Per-point OrderReports with Weierstrass orders against N_inj."""
+    """Per-point OrderReports with Weierstrass orders against N_inj.
+
+    For monomial V the profile depends only on the zero pattern of the
+    point, so the points of one torus orbit share one elimination, and the
+    points with no zero coordinate share the generic profile.
+    """
     generic = V.generic_report(seed, symbolic_threshold, trials)
-    return [
-        n_inj_at(V, p, seed=seed, generic_order=generic.n_inj,
-                 symbolic_threshold=symbolic_threshold, trials=trials)
-        for p in points
-    ]
+    profiles = {(): (generic.rank_profile, "exact")} if V.is_monomial else {}
+    reports = []
+    for p in points:
+        p = _exact_point(V, p)
+        key = _zero_pattern(p) if V.is_monomial else p
+        if key not in profiles:
+            profiles[key] = _profile(V, p, seed, symbolic_threshold, trials)
+        reports.append(_order_report(V, p, *profiles[key], generic.n_inj))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Everything here is integer/Fraction arithmetic; no floating point is used
 anywhere.  One fraction-free (Bareiss) elimination over Z, `_eliminate`,
 is the only elimination over Q: each row is first scaled by the lcm of its
 denominators, which changes neither the row space nor the pivot columns.
-Rank, reduced row echelon form, kernel, determinant and coordinates in a
-row basis are all read off its result.
+Rank, the ranks of leading column blocks, reduced row echelon form,
+kernel, determinant and coordinates in a row basis are all read off its
+result.
 
 `rank_exact` tries a modular elimination (numpy, single word primes)
 first on large matrices.  A rank mod p is always a lower bound for the
@@ -15,6 +16,7 @@ min(rows, cols); otherwise the exact elimination decides.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
@@ -131,6 +133,16 @@ def rank_exact(rows, ncols=None):
             if _rank_mod_p(ints, ncols, p) == ceiling:
                 return ceiling
     return len(_eliminate(ints, ncols)[1])
+
+
+def prefix_ranks(rows, widths):
+    """Ranks of the leading column blocks of a rational matrix, one for each
+    width in the ascending list `widths`, whose last entry is the column
+    count.  One elimination: the pivot columns are the columns outside the
+    span of the columns before them, so the first w columns have rank equal
+    to the number of pivot columns below w."""
+    pivots = _eliminate(_as_integer_rows(rows), widths[-1])[1]
+    return [bisect_left(pivots, w) for w in widths]
 
 
 def det_exact(rows):

@@ -18,15 +18,8 @@ from functools import cached_property
 from math import comb, gcd
 
 from .algebra import exponents_upto
-from .jets import (
-    GENERIC,
-    RANDOM_TRIALS,
-    SYMBOLIC_THRESHOLD,
-    SubspaceV,
-    generic_rank,
-    jet_matrix,
-)
-from .linalg import SpanChecker, det_exact, rank_exact
+from .jets import InternalConsistencyError, SubspaceV, binomial_rows
+from .linalg import SpanChecker, det_exact, prefix_ranks, rank_exact
 
 
 class DegeneratePolytopeError(ValueError):
@@ -118,6 +111,7 @@ class LatticePolytope:
         self.edges = tuple(edges)
         self.faces = tuple(faces)
         self.facets = tuple(facets)  # supporting data for cone computations
+        self._charts = {}
 
     @cached_property
     def dim(self):
@@ -127,6 +121,13 @@ class LatticePolytope:
     def smoothness(self):
         """The SmoothnessReport of `smooth_check`, evaluated once."""
         return smooth_check(self)
+
+    def chart(self, vertex):
+        """`vertex_chart` at `vertex` in its default directions, built once
+        per vertex."""
+        if vertex not in self._charts:
+            self._charts[vertex] = vertex_chart(self, vertex)
+        return self._charts[vertex]
 
     def __repr__(self):
         return f"LatticePolytope(nvars={self.nvars}, points={len(self.points)}, vertices={len(self.vertices)})"
@@ -656,17 +657,20 @@ def n_inj_hilbert(points):
         return HilbertResult(0, (1,))
     rank = len(coords[0])
     profile = []
-    l = 0
-    while True:
+    # the rank rises by at least one per order until it reaches |P|, so the
+    # order is at most |P| - 1
+    for l in range(npts):
         cols = exponents_upto(rank, l)
         rows = [[_int_power(q, a) for a in cols] for q in coords]
         r = rank_exact(rows, len(cols))
         if profile and r <= profile[-1] and r < npts:
-            raise RuntimeError("Hilbert rank profile failed to increase")
+            raise InternalConsistencyError("Hilbert rank profile failed to increase")
         profile.append(r)
         if r == npts:
             return HilbertResult(l, tuple(profile))
-        l += 1
+    raise InternalConsistencyError(
+        f"Hilbert rank of {npts} points did not reach {npts} by order {npts - 1}"
+    )
 
 
 def _int_power(q, alpha):
@@ -716,7 +720,10 @@ def vertex_chart(P, vertex, directions=None):
 
 
 def chart_subspace(P, vertex, directions=None):
-    chart, _ = vertex_chart(P, vertex, directions)
+    if directions is None:
+        chart, _ = P.chart(vertex)
+    else:
+        chart, _ = vertex_chart(P, vertex, directions)
     return SubspaceV.from_monomials(P.nvars, chart)
 
 
@@ -727,8 +734,7 @@ def n_inj_face(P, face):
     if face not in P.faces:
         face = _find_face(P, face)
     vertex = face.spanning_vertex
-    dirs = P.vertex_directions(vertex)
-    chart, _ = vertex_chart(P, vertex, dirs)
+    chart, dirs = P.chart(vertex)
     tangent = [i for i, d in enumerate(dirs) if d in face.directions]
     transverse = [i for i in range(P.nvars) if i not in tangent]
     slices = {}
@@ -758,13 +764,9 @@ def n_inj_vertex_formula(P, vertex):
     """Prop-style vertex value: max coordinate sum of other vertices in the
     basis at the vertex."""
     _require_smooth(P)
-    dirs = P.vertex_directions(vertex)
-    inv = _integer_inverse_unimodular(list(dirs))
-    best = 0
-    for m in P.vertices:
-        dp = _sub(m, vertex)
-        best = max(best, sum(_dot(row, dp) for row in inv))
-    return best
+    chart, _ = P.chart(vertex)
+    vertices = set(P.vertices)
+    return max(sum(c) for p, c in zip(P.points, chart) if p in vertices)
 
 
 def n_inj_max(P):
@@ -794,60 +796,42 @@ def n_surj_toric(P):
     return edge_stats(P).s
 
 
-def n1_surj_by_face(P, seed=0, trials=RANDOM_TRIALS, symbolic_threshold=SYMBOLIC_THRESHOLD):
-    """Surjectivity order at the generic point of each codimension-1 orbit."""
+def n1_surj_by_face(P, seed=0):
+    """Surjectivity order at the generic point of each codimension-1 orbit.
+
+    Every rank is exact, so `seed` does not change the result."""
     _require_smooth(P)
     faces = P.codim1_faces()
     if not faces:
         raise UnsupportedPolytopeError(
             "codimension-1 face data is only available for lattice rank <= 3"
         )
-    return {
-        face: _face_generic_n_surj(P, face, seed, trials, symbolic_threshold)
-        for face in faces
-    }
+    return {face: _face_generic_n_surj(P, face) for face in faces}
 
 
-def n1_surj_toric(P, seed=0, trials=RANDOM_TRIALS, symbolic_threshold=SYMBOLIC_THRESHOLD):
+def n1_surj_toric(P, seed=0):
     """Largest n with the order-<=n Taylor maps surjective in codimension 1:
     the minimum over codimension-1 faces of the surjectivity order at the
     generic point of the face's orbit.
 
     In the chart at a vertex of the face the orbit is `transverse
-    coordinate 0, tangent coordinates free`; the rank over the function
-    field of the orbit is computed from the transverse-substituted symbolic
-    jet matrix (scaling reduction / symbolic elimination / seeded random
-    tangent evaluations, in that order of preference).
+    coordinates 0, tangent coordinates free`, and the jet matrix over the
+    function field of the orbit has the column-prefix ranks of the integer
+    matrix C_Z with Z the transverse coordinates (`jets.binomial_rows`).
     """
-    return min(n1_surj_by_face(P, seed, trials, symbolic_threshold).values())
+    return min(n1_surj_by_face(P, seed).values())
 
 
-def _face_generic_n_surj(P, face, seed, trials, symbolic_threshold):
-    vertex = face.spanning_vertex
-    dirs = P.vertex_directions(vertex)
-    chart, _ = vertex_chart(P, vertex, dirs)
-    V = SubspaceV.from_monomials(P.nvars, chart)
-    tangent = [i for i, d in enumerate(dirs) if d in face.directions]
-    transverse = [i for i in range(P.nvars) if i not in tangent]
-    n = 0
-    last_good = -1
-    while True:
-        J = jet_matrix(V, n, GENERIC)
-        rows = []
-        for row in J.entries:
-            new_row = []
-            for p in row:
-                for t in transverse:
-                    p = p.substitute_zero(t)
-                new_row.append(p)
-            rows.append(new_row)
-        need = comb(n + P.nvars, P.nvars)
-        res = generic_rank(rows, seed=seed, symbolic_threshold=symbolic_threshold, trials=trials)
-        if res.value == need:
-            last_good = n
-            n += 1
-        else:
-            return last_good
+def _face_generic_n_surj(P, face):
+    """The last n whose first C(n + d, d) columns of C_Z are all pivots, from
+    one elimination up to the first order with more columns than |P|."""
+    chart, dirs = P.chart(face.spanning_vertex)
+    transverse = [i for i, d in enumerate(dirs) if d not in face.directions]
+    npts = len(P.points)
+    top = next(n for n in range(npts + 1) if comb(n + P.nvars, P.nvars) > npts)
+    widths = [comb(n + P.nvars, P.nvars) for n in range(top + 1)]
+    ranks = prefix_ranks(binomial_rows(chart, top, transverse), widths)
+    return next(n for n, (r, w) in enumerate(zip(ranks, widths)) if r < w) - 1
 
 
 # ---------------------------------------------------------------------------

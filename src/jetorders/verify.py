@@ -201,14 +201,14 @@ def verify_veronese(n, m, seed=0, npoints=4):
     return report
 
 
-def _hirzebruch_weierstrass_rows(report, P, r, k, l, seed):
+def _hirzebruch_weierstrass_rows(report, P, r, k, l, seed, generic_order):
     """Oracle-resolved per-vertex orders and the chart-visible Weierstrass
     trace, in the chart at a vertex of the long edge."""
     oracle = {}
     for v in P.vertices:
         Vc = chart_subspace(P, v)
         oracle[v] = n_inj_at(Vc, (0,) * P.nvars, seed=seed,
-                             generic_order=n_inj_hilbert(P).order).n_inj
+                             generic_order=generic_order).n_inj
     report.check("vertex multiset (oracle)", sorted([k, k, k + l, k + l]),
                  sorted(oracle.values()), FORMULA)
     formula = {v: n_inj_vertex_formula(P, v) for v in P.vertices}
@@ -282,10 +282,11 @@ def verify_hirzebruch(r, k, l, seed=0):
                  sorted(e.length for e in P.edges), ORACLE)
     report.check("n_surj", min(l, k - l * r), n_surj_toric(P), FORMULA)
     report.check("n1_surj", min(l, k - l * r), n1_surj_toric(P, seed=seed), FORMULA)
-    report.check("n_inj_generic", k, n_inj_hilbert(P).order, FORMULA)
+    generic_order = n_inj_hilbert(P).order
+    report.check("n_inj_generic", k, generic_order, FORMULA)
     report.check("n_inj_max", k + l, n_inj_max(P), FORMULA)
 
-    _hirzebruch_weierstrass_rows(report, P, r, k, l, seed)
+    _hirzebruch_weierstrass_rows(report, P, r, k, l, seed, generic_order)
 
     gens = hirzebruch_generators(r, k, l)
     report.check("generators preserve V", True, all_preserve(gens, V), FORMULA)

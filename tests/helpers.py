@@ -1,10 +1,12 @@
 """Shared generators for randomized test cases (all explicitly seeded)."""
 
 from fractions import Fraction
+from math import comb
 
 from jetorders.algebra import Polynomial, exponents_upto
-from jetorders.jets import DependentBasisError, SubspaceV
-from jetorders.toric import polytope_build
+from jetorders.jets import GENERIC, DependentBasisError, SubspaceV, generic_rank, jet_matrix
+from jetorders.linalg import rank_exact
+from jetorders.toric import polytope_build, vertex_chart
 from jetorders.verify import hirzebruch_points
 
 
@@ -43,6 +45,41 @@ def oracle_det(rows):
     return total
 
 
+def oracle_profile(V, at):
+    """Reference rank profile, one jet matrix and one rank per order: the
+    Fraction jet matrix and `rank_exact` at a point, the symbolic jet matrix
+    and `generic_rank` at GENERIC."""
+    ranks = []
+    for n in range(V.max_degree + 1):
+        J = jet_matrix(V, n, at)
+        ranks.append(generic_rank(J.entries).value if at is GENERIC else rank_exact(J.entries))
+        if ranks[-1] == V.dim:
+            return tuple(ranks)
+    raise AssertionError(f"jet rank of {V} did not reach its dimension")
+
+
+def oracle_face_n_surj(P, face):
+    """Reference surjectivity order at the generic point of a face's orbit:
+    the symbolic jet matrix of the chart at the face's spanning vertex with
+    the transverse coordinates set to 0, ranked by `generic_rank` order by
+    order until the Taylor map is no longer surjective."""
+    chart, dirs = vertex_chart(P, face.spanning_vertex)
+    V = SubspaceV.from_monomials(P.nvars, chart)
+    transverse = [i for i, d in enumerate(dirs) if d not in face.directions]
+    for n in range(len(P.points) + 1):
+        rows = []
+        for row in jet_matrix(V, n, GENERIC).entries:
+            new_row = []
+            for p in row:
+                for t in transverse:
+                    p = p.substitute_zero(t)
+                new_row.append(p)
+            rows.append(new_row)
+        if generic_rank(rows).value < comb(n + P.nvars, P.nvars):
+            return n - 1
+    raise AssertionError("order-|P| Taylor map cannot be surjective")
+
+
 def rational_point(rng, nvars, nonzero=True):
     pt = []
     for _ in range(nvars):
@@ -75,6 +112,10 @@ def random_subspace(rng, nvars=None, max_dim=5, degree=4):
     nvars = nvars or rng.choice((1, 2))
     if rng.random() < 0.5:
         return random_monomial_subspace(rng, nvars=nvars, max_size=max_dim, box=degree)
+    return random_dense_subspace(rng, nvars, max_dim, degree)
+
+
+def random_dense_subspace(rng, nvars, max_dim=5, degree=4):
     dim = rng.randint(2, max_dim)
     for _ in range(40):
         basis = [random_polynomial(rng, nvars, degree) for _ in range(dim)]

@@ -136,6 +136,30 @@ def test_dv_command(tmp_path, capsys):
     assert doc["result"]["irreducible"] is True
 
 
+def test_dv_solves_each_weight_once(tmp_path, capsys, monkeypatch):
+    from collections import Counter
+
+    from jetorders import cli, diffops
+
+    points = [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1]]
+    space = write(tmp_path, "s.json", {"nvars": 2, "monomials": points})
+    calls = Counter()
+    original = diffops.preserving_weight_space
+
+    def counted(points, weight, order):
+        calls[tuple(weight)] += 1
+        return original(points, weight, order)
+
+    monkeypatch.setattr(diffops, "preserving_weight_space", counted)
+    monkeypatch.setattr(cli, "preserving_weight_space", counted)
+    code, out, _ = run_cli(capsys, "dv", "--space", space, "--order", "1", "--json")
+    assert code == 0
+    window = diffops.weight_window([tuple(p) for p in points])
+    assert sorted(calls) == window and set(calls.values()) == {1}
+    doc = json.loads(out)
+    assert [tuple(w["weight"]) for w in doc["result"]["weights"]] == window
+
+
 def test_dv_weight_window(tmp_path, capsys):
     space = write(tmp_path, "s.json", {"nvars": 1, "monomials": [[0], [1]]})
     code, out, _ = run_cli(capsys, "dv", "--space", space, "--order", "2",

@@ -274,3 +274,56 @@ def test_jet_matrix_transpose_duality():
         pt = rational_point(rng, V.nvars, nonzero=False)
         J = jet_matrix(V, rng.randint(0, max(V.max_degree, 1)), pt)
         assert rank_of_jet_matrix(J).value == rank_of_jet_matrix(J.transpose()).value
+
+
+def _orbit_point(rng, nvars):
+    """A rational point with a seeded random set of zero coordinates."""
+    return tuple(F(0) if rng.random() < 0.4 else rational_point(rng, 1)[0]
+                 for _ in range(nvars))
+
+
+def test_jet_rank_profiles_match_per_order_oracles():
+    # one elimination of C_Z (monomial V) or of the top-order jet matrix
+    # (dense V at a point) against one jet matrix and one rank per order
+    from helpers import oracle_profile, random_dense_subspace
+    from jetorders.jets import GENERIC, weierstrass_scan
+
+    rng = random.Random(61)
+    for _ in range(45):
+        nvars = rng.choice((1, 2, 3))
+        V = random_monomial_subspace(rng, nvars=nvars, max_size=8, box=4 if nvars < 3 else 3)
+        generic = V.generic_report()
+        assert generic.rank_profile == oracle_profile(V, GENERIC), V.monomial_points
+        assert generic.method == "monomial-scaling"
+        points = [_orbit_point(rng, nvars) for _ in range(4)]
+        for rep in weierstrass_scan(V, points):
+            assert rep.rank_profile == oracle_profile(V, rep.point), (V.monomial_points, rep.point)
+            assert rep.method == "exact"
+            assert rep == n_inj_at(V, rep.point)
+    for _ in range(25):
+        V = random_dense_subspace(rng, rng.choice((1, 2)), max_dim=5, degree=4)
+        for _ in range(2):
+            pt = _orbit_point(rng, V.nvars)
+            rep = n_inj_at(V, pt)
+            assert rep.rank_profile == oracle_profile(V, pt), (V.basis, pt)
+            assert rep.method == "exact"
+
+
+def test_face_n1_surj_matches_symbolic_oracle():
+    # every codimension-1 face of the toric suite polytopes: the column
+    # prefixes of C_Z against the transverse-substituted symbolic jet matrix
+    import jetorders.toric as toric
+    from helpers import oracle_face_n_surj
+    from jetorders.verify import hirzebruch_family, veronese_family
+
+    polys = [veronese_family(n, m).polytope for n in (1, 2, 3) for m in (1, 2, 3)]
+    polys += [hirzebruch_family(*c).polytope for c in ((1, 2, 1), (1, 3, 1), (2, 5, 2),
+                                                       (3, 7, 2), (1, 5, 3))]
+    rng = random.Random(62)
+    polys += [random_smooth_polytope(rng) for _ in range(12)]
+    faces = 0
+    for P in polys:
+        for face, value in toric.n1_surj_by_face(P).items():
+            assert value == oracle_face_n_surj(P, face), (P.points, face.label())
+            faces += 1
+    assert faces >= 60

@@ -270,3 +270,34 @@ def test_toric_report_computes_each_invariant_once(monkeypatch):
     assert rep.n_inj_max == 4 and len(rep.n_inj_by_face) == 15
     assert calls == {"n_inj_face": 15, "n_inj_vertex_formula": 4, "smooth_check": 1,
                      "_affine_dim": 1}
+
+
+def test_toric_report_builds_one_chart_per_vertex(monkeypatch):
+    P = simplex(4, n=3)
+    calls = Counter()
+    original = toric.vertex_chart
+
+    def counted(P_, vertex, directions=None):
+        calls[vertex] += 1
+        return original(P_, vertex, directions)
+
+    monkeypatch.setattr(toric, "vertex_chart", counted)
+    rep = toric_report(P)
+    assert rep.n_inj_max == 4 and rep.n1_surj == 4
+    assert set(calls) <= set(P.vertices)
+    assert max(calls.values()) == 1
+
+
+def test_n_inj_hilbert_raises_instead_of_looping(monkeypatch):
+    from jetorders.jets import InternalConsistencyError
+
+    points = simplex(2).points
+    assert issubclass(InternalConsistencyError, RuntimeError)
+    # a rank that stops rising below |P|
+    monkeypatch.setattr(toric, "rank_exact", lambda rows, ncols=None: 2)
+    with pytest.raises(InternalConsistencyError, match="failed to increase"):
+        n_inj_hilbert(points)
+    # a rank that keeps rising without ever meeting |P| stops at order |P| - 1
+    monkeypatch.setattr(toric, "rank_exact", lambda rows, ncols=None: len(points) + ncols)
+    with pytest.raises(InternalConsistencyError, match=f"by order {len(points) - 1}"):
+        n_inj_hilbert(points)

@@ -69,3 +69,19 @@ def test_verify_report_fails_visibly_on_wrong_expectation():
     rep.check("deliberate mismatch", 1, 2, "[TRIVIAL]")
     assert not rep.passed
     assert "FAIL" in rep.format_text()
+
+
+def test_verify_hirzebruch_computes_hilbert_order_once(monkeypatch):
+    from jetorders import verify
+
+    calls = []
+    original = verify.n_inj_hilbert
+
+    def counted(points):
+        calls.append(points)
+        return original(points)
+
+    monkeypatch.setattr(verify, "n_inj_hilbert", counted)
+    rep = verify_hirzebruch(1, 3, 1)
+    assert rep.passed, rep.format_text()
+    assert len(calls) == 1
