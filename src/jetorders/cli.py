@@ -8,6 +8,7 @@ deterministic for identical inputs and seed; rationals are serialized as
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -18,8 +19,6 @@ from .algebra import Polynomial, parse_rational
 from .diffops import evaluation_image, preserving_weight_space
 from .jets import (
     GENERIC,
-    RANDOM_TRIALS,
-    SYMBOLIC_THRESHOLD,
     DependentBasisError,
     SubspaceV,
     n_inj_at,
@@ -38,6 +37,10 @@ from .verify import verify_hirzebruch, verify_veronese
 
 SEED_ENV_VAR = "JETORDERS_SEED"
 
+#: space-document keys that no longer exist (generic ranks are certified by
+#: evaluation, which has nothing left to tune)
+REMOVED_SPACE_KEYS = ("symbolic_threshold", "random_trials")
+
 
 class SpaceFileError(ValueError):
     def __init__(self, code, message):
@@ -54,8 +57,7 @@ def parse_space(text):
 
     Document: {"nvars": n, "monomials": [[e..], ...]} or
     {"nvars": n, "polynomials": [{"[e..]": "p/q", ...}, ...]}, plus the
-    optional keys "seed", "symbolic_threshold", "random_trials",
-    "very_ample_bound".
+    optional key "seed".
     """
     try:
         doc = json.loads(text)
@@ -63,6 +65,10 @@ def parse_space(text):
         _fail("E_SCHEMA", f"not valid JSON: {exc}")
     if not isinstance(doc, dict) or "nvars" not in doc:
         _fail("E_SCHEMA", "document must be an object with an 'nvars' key")
+    for key in REMOVED_SPACE_KEYS:
+        if key in doc:
+            _fail("E_SCHEMA", f"key '{key}' was removed: generic ranks are certified "
+                              "by evaluation and take no tuning keys")
     nvars = doc["nvars"]
     if not isinstance(nvars, int) or nvars < 1:
         _fail("E_SCHEMA", "'nvars' must be a positive integer")
@@ -186,16 +192,6 @@ def _resolve_seed(args, doc):
     return 0
 
 
-def _thresholds(doc):
-    doc = doc or {}
-    threshold = doc.get("symbolic_threshold", SYMBOLIC_THRESHOLD)
-    trials = doc.get("random_trials", RANDOM_TRIALS)
-    if not isinstance(threshold, int) or threshold < 0 or not isinstance(trials, int) or trials < 1:
-        _fail("E_SCHEMA", "'symbolic_threshold' must be an integer >= 0 and "
-                          "'random_trials' an integer >= 1")
-    return {"symbolic_threshold": threshold, "trials": trials}
-
-
 def _emit(args, report):
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -237,14 +233,13 @@ def _report_envelope(command, seed, inputs, result, methods=None):
 def _cmd_orders(args):
     V, doc = parse_space(_read(args.space))
     seed = _resolve_seed(args, doc)
-    opts = _thresholds(doc)
     if args.generic == (args.at is not None):
         _fail("E_SCHEMA", "give exactly one of --at or --generic")
     if args.generic:
-        rep = n_inj_at(V, GENERIC, seed=seed, **opts)
+        rep = n_inj_at(V, GENERIC, seed=seed)
     else:
         point = _parse_point(args.at, V.nvars)
-        rep = n_inj_at(V, point, seed=seed, **opts)
+        rep = n_inj_at(V, point, seed=seed)
     out = _report_envelope("orders", seed, json.loads(serialize_space(V)),
                            rep.to_dict(), [rep.method])
     _emit(args, out)
@@ -254,7 +249,6 @@ def _cmd_orders(args):
 def _cmd_scan(args):
     V, doc = parse_space(_read(args.space))
     seed = _resolve_seed(args, doc)
-    opts = _thresholds(doc)
     pts_doc = json.loads(_read(args.points))
     if (not isinstance(pts_doc, dict) or not isinstance(pts_doc.get("points"), list)
             or not all(isinstance(p, list) for p in pts_doc["points"])):
@@ -264,7 +258,7 @@ def _cmd_scan(args):
         if len(p) != V.nvars:
             _fail("E_DIM", f"point {p!r} does not have {V.nvars} coordinates")
         points.append(tuple(parse_rational(str(c)) for c in p))
-    reports = weierstrass_scan(V, points, seed=seed, **opts)
+    reports = weierstrass_scan(V, points, seed=seed)
     out = _report_envelope("scan", seed, json.loads(serialize_space(V)),
                            [r.to_dict() for r in reports],
                            sorted({r.method for r in reports}))
@@ -275,10 +269,9 @@ def _cmd_scan(args):
 def _cmd_minors(args):
     V, doc = parse_space(_read(args.space))
     seed = _resolve_seed(args, doc)
-    opts = _thresholds(doc)
     if args.cap < 0:
         _fail("E_SCHEMA", "--cap must be >= 0")
-    rep = weierstrass_minors(V, seed=seed, cap=args.cap, **opts)
+    rep = weierstrass_minors(V, seed=seed, cap=args.cap)
     result = {
         "order": rep.order,
         "total": rep.total,
@@ -361,7 +354,10 @@ def _read(path):
         _fail("E_IO", f"cannot read {path}: {exc}")
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parsing leaves the
+    parser unchanged, and each call returns a new namespace."""
     parser = argparse.ArgumentParser(
         prog="jetorders",
         description="Exact jet, Weierstrass and preserving-operator computations "
@@ -429,8 +425,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SpaceFileError as exc:

@@ -14,9 +14,20 @@ elimination of the top-order matrix (`linalg.prefix_ranks`).  A monomial
 subspace builds no jet matrix at all: on the torus orbit with zero
 coordinates Z (Z is empty at the generic point) its jet matrix is
 D_r C_Z D_c with D_r, D_c invertible and diagonal, so the exact profile
-comes from the integer matrix C_Z of `binomial_rows`.  A dense subspace
-eliminates one jet matrix of order max_degree at a rational point, and at
-the generic point still ranks one symbolic jet matrix per order.
+comes from the integer matrix C_Z of `binomial_rows`.
+
+A dense subspace with integer coefficient matrix C over its support has
+the jet matrix J(a) = C T(a) at a point a, where T(a)[m, alpha] =
+C(m, alpha) a^(m - alpha) (`SubspaceV.taylor_terms`).  At a rational point
+one elimination of J(a) gives the exact profile.  At the generic point the
+profile is certified by evaluation (`_certified_ranks`): the prefix ranks
+of J(a) at a seeded integer point are lower bounds; the prefix ranks of
+the columns' coefficient vectors over Q are upper bounds; where the two
+still differ, a grid S_1 x ... x S_k with |S_i| > d_i, d_i bounding
+deg_{x_i} of the minors of the next size, finds a point where such a minor
+does not vanish or proves that all of them vanish (Alon, Combinatorial
+Nullstellensatz, 1999; Schwartz 1980).  Past `GRID_POINT_BUDGET` grid
+points the best lower bounds are reported with certified = False.
 """
 
 from __future__ import annotations
@@ -34,15 +45,12 @@ from .algebra import (
     binomial_product,
     exponents_upto,
     multi_factorial,
-    poly_divexact,
 )
-from .linalg import SpanChecker, det_exact, prefix_ranks, rank_exact
+from .linalg import SpanChecker, _as_integer_rows, det_exact, prefix_ranks, rank_exact
 
-#: default side length above which symbolic elimination is not attempted
-SYMBOLIC_THRESHOLD = 12
-
-#: default number of random evaluations for large symbolic ranks
-RANDOM_TRIALS = 4
+#: grid points one generic rank may evaluate after its seeded point; past
+#: it the best lower bounds are reported uncertified
+GRID_POINT_BUDGET = 1000
 
 
 class _Generic:
@@ -148,13 +156,28 @@ class SubspaceV:
     def __repr__(self):
         return f"SubspaceV(nvars={self.nvars}, dim={self.dim})"
 
-    def generic_report(self, seed=0, symbolic_threshold=SYMBOLIC_THRESHOLD, trials=RANDOM_TRIALS):
-        key = (seed, symbolic_threshold, trials)
-        if key not in self._generic_cache:
-            self._generic_cache[key] = n_inj_at(
-                self, GENERIC, seed=seed, symbolic_threshold=symbolic_threshold, trials=trials
-            )
-        return self._generic_cache[key]
+    @cached_property
+    def taylor_terms(self):
+        """The order-max_degree Taylor expansion of the basis, each basis
+        element scaled to integer coefficients: one (row, column, e, c) per
+        term c x^e of d^alpha(p_row)/alpha!, where `column` indexes alpha
+        among the jet columns.  The term c_m x^m of a basis element gives
+        c_m C(m, alpha) x^(m - alpha) for every alpha <= m."""
+        columns = {a: j for j, a in enumerate(exponents_upto(self.nvars, self.max_degree))}
+        support = list(self.support_index)
+        terms = []
+        for i, row in enumerate(_as_integer_rows(self.coefficient_vector(p) for p in self.basis)):
+            for m, c in zip(support, row):
+                if c:
+                    for alpha in itertools.product(*(range(k + 1) for k in m)):
+                        terms.append((i, columns[alpha], tuple(a - b for a, b in zip(m, alpha)),
+                                      c * binomial_product(m, alpha)))
+        return terms
+
+    def generic_report(self, seed=0):
+        if seed not in self._generic_cache:
+            self._generic_cache[seed] = n_inj_at(self, GENERIC, seed=seed)
+        return self._generic_cache[seed]
 
 
 @dataclass(frozen=True)
@@ -247,6 +270,40 @@ def binomial_rows(points, n, zeros=()):
             for m in points]
 
 
+def _dense_jet_rows(V, point):
+    """An integer matrix with the column prefix ranks of V's order-max_degree
+    jet matrix at the rational point a = (p_1/q_1, ...).
+
+    J(a) = C T(a) is summed from `V.taylor_terms`; every entry is scaled by
+    the constant prod_i q_i^max_degree, so a^e becomes
+    prod_i p_i^e_i q_i^(max_degree - e_i) and no `Fraction` arises."""
+    top = V.max_degree
+    powers = []
+    for c in point:
+        num, den = c.numerator, c.denominator
+        powers.append([num ** e * den ** (top - e) for e in range(top + 1)])
+    rows = [[0] * comb(top + V.nvars, V.nvars) for _ in range(V.dim)]
+    for i, j, e, c in V.taylor_terms:
+        for table, k in zip(powers, e):
+            c *= table[k]
+        rows[i][j] += c
+    return rows
+
+
+def _column_bounds(terms, widths):
+    """Ranks over Q of the coefficient vectors of the leading columns of a
+    polynomial matrix given by its terms (row i, column j, exponent e,
+    coefficient c): the vector of column j has c in row (i, e).
+
+    Over Q(x) a set of polynomial columns has rank at most the Q-rank of
+    their coefficient vectors.  For the jet matrix (`SubspaceV.taylor_terms`)
+    column alpha has the coefficient c_{i, e + alpha} C(e + alpha, alpha)."""
+    rows = {}
+    for i, j, e, c in terms:
+        rows.setdefault((i, e), [0] * widths[-1])[j] += c
+    return prefix_ranks(list(rows.values()), widths)
+
+
 # ---------------------------------------------------------------------------
 # ranks of symbolic (polynomial-entry) matrices
 
@@ -254,7 +311,7 @@ def binomial_rows(points, n, zeros=()):
 @dataclass(frozen=True)
 class RankResult:
     value: int
-    method: str  # "exact" | "monomial-scaling" | "symbolic" | "randomized"
+    method: str  # "exact" | "monomial-scaling" | "evaluation"
     certified: bool
 
     def __int__(self):
@@ -323,80 +380,92 @@ def _monomial_scaling_rank(rows):
     return RankResult(rank_exact(coeffs, ncols), "monomial-scaling", True)
 
 
-def _rank_symbolic(rows, ncols):
-    """Deterministic fraction-free elimination over the polynomial ring."""
-    m = [list(row) for row in rows]
-    nrows = len(m)
-    rank = 0
-    prev = None
-    for c in range(ncols):
-        piv = None
-        best = None
-        for i in range(rank, nrows):
-            if not m[i][c].is_zero:
-                size = (len(m[i][c]._terms), int(m[i][c].degree))
-                if best is None or size < best:
-                    best = size
-                    piv = i
-        if piv is None:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        pivot = m[rank][c]
-        prow = m[rank]
-        for i in range(rank + 1, nrows):
-            row = m[i]
-            f = row[c]
-            for j in range(c + 1, ncols):
-                num = row[j] * pivot - f * prow[j]
-                row[j] = poly_divexact(num, prev) if prev is not None else num
-            row[c] = Polynomial.zero(pivot.nvars)
-        prev = pivot
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+def _certified_ranks(evaluate, widths, nrows, column_bounds, row_degrees, seed):
+    """Ranks over the rational function field of the leading column blocks
+    (widths `widths`) of an `nrows`-row polynomial matrix, from evaluations.
+
+    `evaluate(point)` gives the block ranks at an integer point, which are
+    lower bounds; `column_bounds()` gives upper bounds, asked for only when
+    min(nrows, width) does not already meet the lower bound.  The first
+    point is seeded.  A block whose bounds still differ gets a grid
+    S_1 x ... x S_k, S_i = {0, ..., d_i}, where d_i is the sum of the s
+    largest `row_degrees` in x_i and s is one more than its lower bound:
+    every s-minor has deg_{x_i} <= d_i, so either a grid point raises the
+    lower bound or every s-minor vanishes and the bound is the rank.
+    Blocks past the first of full rank are not certified.
+
+    Returns (ranks, certified); uncertified ranks are the best lower bounds
+    after `GRID_POINT_BUDGET` grid points."""
+    full = min(nrows, widths[-1])
+    rng = random.Random(seed)
+    nvars = len(row_degrees[0])
+    lower = evaluate(tuple(rng.randint(1, 100) * rng.choice((-1, 1)) for _ in range(nvars)))
+    upper = [min(nrows, w) for w in widths]
+    if lower != upper:
+        upper = [min(u, b) for u, b in zip(upper, column_bounds())]
+    seen = set()
+    while True:
+        if any(lo > up for lo, up in zip(lower, upper)):
+            raise InternalConsistencyError(f"rank lower bounds {lower} exceed upper bounds {upper}")
+        stop = lower.index(full) + 1 if full in lower else len(lower)
+        gap = next((n for n in range(stop) if lower[n] < upper[n]), None)
+        if gap is None:
+            return lower, True
+        size = lower[gap] + 1
+        sides = [sum(sorted((d[i] for d in row_degrees), reverse=True)[:size]) + 1
+                 for i in range(nvars)]
+        for point in itertools.product(*map(range, sides)):
+            if point in seen:
+                continue
+            if len(seen) == GRID_POINT_BUDGET:
+                return lower, False
+            seen.add(point)
+            lower = [max(a, b) for a, b in zip(lower, evaluate(point))]
+            if lower[gap] == size:
+                break
+        else:
+            # no size-minor of the block is nonzero on the grid, so none is
+            # nonzero at all, and neither is one of a smaller block
+            upper[:gap + 1] = [min(u, lower[gap]) for u in upper[:gap + 1]]
 
 
-def _random_point(rng, nvars, spread):
-    return tuple(Fraction(rng.randint(1, spread) * rng.choice((-1, 1)))
-                 for _ in range(nvars))
+def _polynomial_degrees(polys, nvars):
+    """deg_{x_i} of a collection of polynomials, for each variable x_i."""
+    return tuple(max((e[i] for p in polys for e in p.support()), default=0)
+                 for i in range(nvars))
 
 
-def generic_rank(rows, seed=0, symbolic_threshold=SYMBOLIC_THRESHOLD, trials=RANDOM_TRIALS):
+def generic_rank(rows, seed=0):
     """Rank of a matrix of polynomials over the rational function field.
 
-    Strategy: a scaling reduction for decomposable monomial matrices (jet
-    matrices of monomial subspaces always are); deterministic fraction-free
-    elimination up to `symbolic_threshold` per side; otherwise seeded random
-    evaluations, keeping the maximum.  Random evaluation is a certified
-    lower bound, exact when it reaches min(rows, cols).
+    A scaling reduction for decomposable monomial matrices (jet matrices
+    of monomial subspaces always are); otherwise the certified evaluation
+    of `_certified_ranks`, with the rank over Q of the columns'
+    coefficient vectors as the upper bound.
     """
     rows = [list(r) for r in rows]
     if not rows or not rows[0]:
-        return RankResult(0, "symbolic", True)
+        return RankResult(0, "evaluation", True)
     nrows, ncols = len(rows), len(rows[0])
     result = _monomial_scaling_rank(rows)
     if result is not None:
         return result
-    if max(nrows, ncols) <= symbolic_threshold:
-        return RankResult(_rank_symbolic(rows, ncols), "symbolic", True)
-    rng = random.Random(seed)
     nvars = rows[0][0].nvars
-    best = 0
-    ceiling = min(nrows, ncols)
-    for t in range(trials):
-        point = _random_point(rng, nvars, 10 ** (t + 2))
-        values = [[p(point) for p in row] for row in rows]
-        best = max(best, rank_exact(values, ncols))
-        if best == ceiling:
-            break
-    return RankResult(best, "randomized", best == ceiling)
+
+    def evaluate(point):
+        return [rank_exact([[p(point) for p in row] for row in rows], ncols)]
+
+    terms = [(i, j, e, c) for i, row in enumerate(rows) for j, p in enumerate(row)
+             for e, c in p.items()]
+    ranks, certified = _certified_ranks(
+        evaluate, [ncols], nrows, lambda: _column_bounds(terms, [ncols]),
+        [_polynomial_degrees(row, nvars) for row in rows], seed)
+    return RankResult(ranks[0], "evaluation", certified)
 
 
-def rank_of_jet_matrix(J, seed=0, symbolic_threshold=SYMBOLIC_THRESHOLD, trials=RANDOM_TRIALS):
+def rank_of_jet_matrix(J, seed=0):
     if J.point is GENERIC:
-        return generic_rank(J.entries, seed, symbolic_threshold, trials)
+        return generic_rank(J.entries, seed)
     return RankResult(rank_exact(J.entries), "exact", True)
 
 
@@ -417,6 +486,7 @@ class OrderReport:
     n_inj_generic: int
     dim: int
     method: str
+    certified: bool
 
     def to_dict(self):
         if self.point is GENERIC:
@@ -433,6 +503,7 @@ class OrderReport:
             "n_inj_generic": self.n_inj_generic,
             "dim": self.dim,
             "method": self.method,
+            "certified": self.certified,
         }
 
 
@@ -440,42 +511,40 @@ def _zero_pattern(point):
     return tuple(i for i, c in enumerate(point) if c == 0)
 
 
-def _profile(V, at, seed, symbolic_threshold, trials):
-    """Rank profile r_0 <= r_1 <= ... up to the first full-rank order, and
-    the rank method that produced it (`at` is GENERIC or an exact point).
+def _profile(V, at, seed):
+    """Rank profile r_0 <= r_1 <= ... up to the first full-rank order, the
+    rank method that produced it and whether it is certified (`at` is
+    GENERIC or an exact point).
 
-    Except for a dense V at the generic point, the profile is the column
-    prefix ranks of one matrix at order max_degree: C_Z for monomial V,
-    the jet matrix itself for dense V at a point."""
+    Every profile is read off the column prefix ranks of order-max_degree
+    integer matrices: C_Z for monomial V, J(a) = C T(a) for dense V at a
+    point, and at the generic point J(a) at the integer points that
+    `_certified_ranks` evaluates."""
     top = V.max_degree
-    if V.is_monomial or at is not GENERIC:
-        if V.is_monomial:
-            zeros = () if at is GENERIC else _zero_pattern(at)
-            rows = binomial_rows(V.monomial_points, top, zeros)
-        else:
-            rows = jet_matrix(V, top, at).entries
-        ranks = prefix_ranks(rows, [comb(n + V.nvars, V.nvars) for n in range(top + 1)])
+    widths = [comb(n + V.nvars, V.nvars) for n in range(top + 1)]
+    certified = True
+    if V.is_monomial:
+        zeros = () if at is GENERIC else _zero_pattern(at)
+        ranks = prefix_ranks(binomial_rows(V.monomial_points, top, zeros), widths)
         method = "monomial-scaling" if at is GENERIC else "exact"
+    elif at is not GENERIC:
+        ranks = prefix_ranks(_dense_jet_rows(V, at), widths)
+        method = "exact"
     else:
-        ranks = []
-        methods = set()
-        for n in range(top + 1):
-            res = rank_of_jet_matrix(jet_matrix(V, n, at), seed, symbolic_threshold, trials)
-            methods.add(res.method)
-            # randomized estimates are lower bounds; ranks never decrease in n
-            ranks.append(max(res.value, ranks[-1]) if ranks else res.value)
-            if ranks[-1] == V.dim:
-                break
-        method = "+".join(sorted(methods))
+        ranks, certified = _certified_ranks(
+            lambda point: prefix_ranks(_dense_jet_rows(V, point), widths), widths, V.dim,
+            lambda: _column_bounds(V.taylor_terms, widths),
+            [_polynomial_degrees([p], V.nvars) for p in V.basis], seed)
+        method = "evaluation"
     if V.dim not in ranks:
         raise InternalConsistencyError(
             f"jet rank of a {V.dim}-dimensional independent subspace did not reach "
             f"{V.dim} by order {top}"
         )
-    return tuple(ranks[:ranks.index(V.dim) + 1]), method
+    return tuple(ranks[:ranks.index(V.dim) + 1]), method, certified
 
 
-def _order_report(V, at, ranks, method, generic_order):
+def _order_report(V, at, ranks, method, certified, generic_order):
     n_inj = len(ranks) - 1
     gaps = tuple(i for i in range(1, len(ranks)) if ranks[i] > ranks[i - 1])
 
@@ -498,11 +567,11 @@ def _order_report(V, at, ranks, method, generic_order):
         n_inj_generic=generic_order,
         dim=V.dim,
         method=method,
+        certified=certified,
     )
 
 
-def n_inj_at(V, at=GENERIC, seed=0, generic_order=None,
-             symbolic_threshold=SYMBOLIC_THRESHOLD, trials=RANDOM_TRIALS):
+def n_inj_at(V, at=GENERIC, seed=0, generic_order=None):
     """Smallest n making the order-n Taylor map of V injective at `at`.
 
     Returns the full OrderReport (rank profile, gap sequence, jet order and
@@ -510,10 +579,10 @@ def n_inj_at(V, at=GENERIC, seed=0, generic_order=None,
     """
     if at is not GENERIC:
         at = _exact_point(V, at)
-    ranks, method = _profile(V, at, seed, symbolic_threshold, trials)
+    profile = _profile(V, at, seed)
     if at is not GENERIC and generic_order is None:
-        generic_order = V.generic_report(seed, symbolic_threshold, trials).n_inj
-    return _order_report(V, at, ranks, method, generic_order)
+        generic_order = V.generic_report(seed).n_inj
+    return _order_report(V, at, *profile, generic_order)
 
 
 def n_surj_at(V, at, seed=0):
@@ -525,22 +594,21 @@ def n_surj_at(V, at, seed=0):
     return n_inj_at(V, at, seed=seed).n_surj
 
 
-def weierstrass_scan(V, points, seed=0, symbolic_threshold=SYMBOLIC_THRESHOLD,
-                     trials=RANDOM_TRIALS):
+def weierstrass_scan(V, points, seed=0):
     """Per-point OrderReports with Weierstrass orders against N_inj.
 
     For monomial V the profile depends only on the zero pattern of the
     point, so the points of one torus orbit share one elimination, and the
     points with no zero coordinate share the generic profile.
     """
-    generic = V.generic_report(seed, symbolic_threshold, trials)
-    profiles = {(): (generic.rank_profile, "exact")} if V.is_monomial else {}
+    generic = V.generic_report(seed)
+    profiles = {(): (generic.rank_profile, "exact", True)} if V.is_monomial else {}
     reports = []
     for p in points:
         p = _exact_point(V, p)
         key = _zero_pattern(p) if V.is_monomial else p
         if key not in profiles:
-            profiles[key] = _profile(V, p, seed, symbolic_threshold, trials)
+            profiles[key] = _profile(V, p, seed)
         reports.append(_order_report(V, p, *profiles[key], generic.n_inj))
     return reports
 
@@ -588,36 +656,36 @@ def _det_polynomial(rows):
     return states.get(tuple(range(d)), Polynomial.zero(nvars))
 
 
-def weierstrass_minors(V, seed=0, cap=200, symbolic_threshold=SYMBOLIC_THRESHOLD,
-                       trials=RANDOM_TRIALS):
+def weierstrass_minors(V, seed=0, cap=200):
     """All nonzero maximal minors of the symbolic jet matrix at the generic
     injectivity order.  Their common zero locus is the set of points of the
     affine chart whose injectivity order exceeds the generic one.
+
+    A minor of a monomial V is the monomial det(C(m, alpha)) x^(sum m -
+    sum alpha) over its columns alpha, so no symbolic matrix is built.
     """
-    generic = V.generic_report(seed, symbolic_threshold, trials)
-    J = jet_matrix(V, generic.n_inj, GENERIC)
+    generic = V.generic_report(seed)
+    columns = exponents_upto(V.nvars, generic.n_inj)
     d = V.dim
-    total = comb(J.ncols, d)
+    total = comb(len(columns), d)
     truncated = total > cap
-    minors = []
-    combos = itertools.combinations(range(J.ncols), d)
+    combos = itertools.combinations(range(len(columns)), d)
     if truncated:
         combos = itertools.islice(combos, cap)
-    monomial = V.is_monomial
-    for combo in combos:
-        if monomial:
-            ints = [[binomial_product(m, J.columns[j]) for j in combo]
-                    for m in V.monomial_points]
-            c = det_exact(ints)
+    minors = []
+    if V.is_monomial:
+        points = V.monomial_points
+        point_sum = [sum(m[i] for m in points) for i in range(V.nvars)]
+        for combo in combos:
+            c = det_exact([[binomial_product(m, columns[j]) for j in combo] for m in points])
             if c:
-                exp = [0] * V.nvars
-                for m in V.monomial_points:
-                    exp = [a + b for a, b in zip(exp, m)]
-                for j in combo:
-                    exp = [a - b for a, b in zip(exp, J.columns[j])]
-                minors.append(Polynomial.monomial(tuple(exp), c, V.nvars))
-        else:
-            det = _det_polynomial([[row[j] for j in combo] for row in J.entries])
+                exp = tuple(s - sum(columns[j][i] for j in combo)
+                            for i, s in enumerate(point_sum))
+                minors.append(Polynomial.monomial(exp, c, V.nvars))
+    else:
+        entries = jet_matrix(V, generic.n_inj, GENERIC).entries
+        for combo in combos:
+            det = _det_polynomial([[row[j] for j in combo] for row in entries])
             if not det.is_zero:
                 minors.append(det)
     return MinorsReport(generic.n_inj, tuple(minors), total, truncated)

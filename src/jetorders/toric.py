@@ -581,20 +581,20 @@ def lattice_coordinates(points):
 
 
 def _lattice_row_basis(rows):
-    """Row echelon basis (over Z) of the lattice generated by the rows."""
+    """Row echelon basis (over Z) of the lattice generated by the rows.
+
+    Each reduction step replaces an entry of column c by its remainder
+    modulo the smallest nonzero entry, so the sum of the column's absolute
+    values falls by at least one per step; it bounds the steps."""
     m = [list(r) for r in rows if any(r)]
     if not m:
         return []
     ncols = len(m[0])
-    basis = []
     r = 0
     for c in range(ncols):
-        while True:
+        for _ in range(sum(abs(row[c]) for row in m[r:]) + 1):
             nz = [i for i in range(r, len(m)) if m[i][c]]
-            if not nz:
-                break
-            if len(nz) == 1:
-                i = nz[0]
+            if len(nz) < 2:
                 break
             nz.sort(key=lambda i: abs(m[i][c]))
             i, j = nz[0], nz[1]
@@ -602,6 +602,8 @@ def _lattice_row_basis(rows):
             m[j] = [a - q * b for a, b in zip(m[j], m[i])]
             if not any(m[j]):
                 m.pop(j)
+        else:
+            raise InternalConsistencyError(f"lattice reduction of column {c} did not terminate")
         nz = [i for i in range(r, len(m)) if m[i][c]]
         if not nz:
             continue

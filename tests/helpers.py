@@ -3,7 +3,7 @@
 from fractions import Fraction
 from math import comb
 
-from jetorders.algebra import Polynomial, exponents_upto
+from jetorders.algebra import Polynomial, exponents_upto, poly_divexact
 from jetorders.jets import GENERIC, DependentBasisError, SubspaceV, generic_rank, jet_matrix
 from jetorders.linalg import rank_exact
 from jetorders.toric import polytope_build, vertex_chart
@@ -45,14 +45,56 @@ def oracle_det(rows):
     return total
 
 
+def rank_symbolic(rows, ncols):
+    """Reference rank over the rational function field: deterministic
+    fraction-free elimination over the polynomial ring."""
+    m = [list(row) for row in rows]
+    nrows = len(m)
+    rank = 0
+    prev = None
+    for c in range(ncols):
+        piv = None
+        best = None
+        for i in range(rank, nrows):
+            if not m[i][c].is_zero:
+                size = (len(m[i][c]._terms), int(m[i][c].degree))
+                if best is None or size < best:
+                    best = size
+                    piv = i
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+        pivot = m[rank][c]
+        prow = m[rank]
+        for i in range(rank + 1, nrows):
+            row = m[i]
+            f = row[c]
+            for j in range(c + 1, ncols):
+                num = row[j] * pivot - f * prow[j]
+                row[j] = poly_divexact(num, prev) if prev is not None else num
+            row[c] = Polynomial.zero(pivot.nvars)
+        prev = pivot
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
 def oracle_profile(V, at):
     """Reference rank profile, one jet matrix and one rank per order: the
-    Fraction jet matrix and `rank_exact` at a point, the symbolic jet matrix
-    and `generic_rank` at GENERIC."""
+    Fraction jet matrix and `rank_exact` at a point; at GENERIC the
+    symbolic jet matrix, ranked by `generic_rank`'s monomial scaling for
+    monomial V and by `rank_symbolic` for dense V."""
     ranks = []
     for n in range(V.max_degree + 1):
         J = jet_matrix(V, n, at)
-        ranks.append(generic_rank(J.entries).value if at is GENERIC else rank_exact(J.entries))
+        if at is not GENERIC:
+            ranks.append(rank_exact(J.entries))
+        elif V.is_monomial:
+            ranks.append(generic_rank(J.entries).value)
+        else:
+            ranks.append(rank_symbolic(J.entries, J.ncols))
         if ranks[-1] == V.dim:
             return tuple(ranks)
     raise AssertionError(f"jet rank of {V} did not reach its dimension")

@@ -10,7 +10,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
-from helpers import rational_point
+from helpers import rank_symbolic, rational_point
 from jetorders.algebra import exponents_upto
 from jetorders.diffops import (
     annihilator_weight_dim,
@@ -21,7 +21,6 @@ from jetorders.diffops import (
 )
 from jetorders.diffops import all_preserve, hirzebruch_generators
 from jetorders.jets import GENERIC, SubspaceV, jet_matrix, n_inj_at, weierstrass_minors, weierstrass_scan
-from jetorders.jets import _rank_symbolic  # deterministic elimination, used as a third route
 from jetorders.toric import (
     chart_subspace,
     d_gonal,
@@ -109,7 +108,7 @@ def test_criterion_3_oracle_equivalence():
             # third route: deterministic polynomial elimination on the jet matrix
             for n in range(V.max_degree + 1):
                 J = jet_matrix(V, n, GENERIC)
-                if _rank_symbolic([list(r) for r in J.entries], J.ncols) == V.dim:
+                if rank_symbolic(J.entries, J.ncols) == V.dim:
                     assert n == hilbert, pts
                     break
 

@@ -60,8 +60,26 @@ def test_orders_generic(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "orders", "--space", space, "--generic", "--json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["result"]["n_inj"] == 2
+    assert doc["result"]["n_inj"] == 2 and doc["result"]["certified"] is True
     assert doc["seed"] == 0 and doc["command"] == "orders"
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    from jetorders.cli import build_parser
+
+    space = write(tmp_path, "s.json", {"nvars": 1, "monomials": [[0], [1], [3]]})
+    points = write(tmp_path, "p.json", {"points": [["0"], ["2"]]})
+    calls = [("orders", "--space", space, "--generic", "--json"),
+             ("scan", "--space", space, "--points", points, "--json"),
+             ("orders", "--space", space, "--at", "0"),
+             ("minors", "--space", space, "--cap", "5", "--json")]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    build_parser.cache_clear()
+    assert [run_cli(capsys, *argv) for argv in calls] == fresh
+    assert build_parser() is build_parser()
 
 
 def test_orders_at_point(tmp_path, capsys):
@@ -233,6 +251,9 @@ MALFORMED_INPUTS = [
      {"space": {"nvars": 1, "polynomials": [{"[0]": "1", "[1]": "1"}], "symbolic_threshold": "a"}}),
     (["orders", "--space", "{space}", "--generic"],
      {"space": dict(MONOMIAL_SPACE, random_trials=0)}),
+    (["scan", "--space", "{space}", "--points", "{points}"],
+     {"space": dict(MONOMIAL_SPACE, random_trials=4), "points": {"points": [["1"]]}}),
+    (["minors", "--space", "{space}"], {"space": dict(MONOMIAL_SPACE, symbolic_threshold=12)}),
     (["minors", "--space", "{space}", "--cap", "-1"], {"space": MONOMIAL_SPACE}),
     (["dv", "--space", "{space}", "--order", "-1"], {"space": MONOMIAL_SPACE}),
     (["dv", "--space", "{space}", "--order", "1", "--weights", "-1"], {"space": MONOMIAL_SPACE}),
@@ -249,3 +270,5 @@ def test_malformed_input_exits_2_with_schema_error(tmp_path, capsys):
         paths = {name: write(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
         code, _, err = run_cli(capsys, *[a.format(**paths) for a in argv])
         assert code == 2 and err.startswith("error[E_SCHEMA]"), (argv, docs, err)
+        for key in ("symbolic_threshold", "random_trials"):
+            assert (key in docs.get("space", {})) == (f"key '{key}' was removed" in err)

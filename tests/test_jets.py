@@ -91,23 +91,64 @@ def test_generic_rank_strategies():
     # rank bounded by column count
     V2 = mono((0,), (1,), (2,))
     assert generic_rank(jet_matrix(V2, 1, GENERIC).entries).value == 2
-    # non-monomial entries force symbolic elimination
+    # non-monomial entries are ranked by certified evaluation
     rows = [[x + 1, x], [x, x + 1]]
     res = generic_rank(rows)
-    assert res.method == "symbolic" and res.value == 2
+    assert res.method == "evaluation" and res.value == 2 and res.certified
     # a matrix of monomials that is not row/column scalable
     rows = [[x, Polynomial.constant(1, 1)], [Polynomial.constant(1, 1), x]]
     assert generic_rank(rows).value == 2
 
 
-def test_generic_rank_randomized_path():
-    rng = random.Random(2)
+def _powers(p, top):
+    out = [Polynomial.constant(p.nvars, 1)]
+    for _ in range(top):
+        out.append(out[-1] * p)
+    return out
+
+
+def _loose_space():
+    """(1 + y) span{1, x, x^2, x^3}: the column bound is 3 at order 1, the
+    generic rank 2."""
+    x = Polynomial.variable(0, 2)
+    y = Polynomial.variable(1, 2)
+    return SubspaceV(2, [(1 + y) * q for q in _powers(x, 3)])
+
+
+def test_generic_rank_deficient_matrix_is_certified():
+    # rank 2 < 14: the columns' coefficient vectors span only x+y and xy
     x = Polynomial.variable(0, 2)
     y = Polynomial.variable(1, 2)
     rows = [[(x + y) * (i + 1) + x * y * j for j in range(14)] for i in range(14)]
-    res = generic_rank(rows, seed=0, symbolic_threshold=4)
-    assert res.method == "randomized"
-    assert res.value == 2  # span of x+y and xy
+    res = generic_rank(rows, seed=0)
+    assert res.method == "evaluation" and res.certified
+    assert res.value == 2
+    # column 1 is (1 + y) times column d/dy, but their coefficient vectors
+    # are independent over Q, so the grid certifies 2
+    res = generic_rank(jet_matrix(_loose_space(), 1, GENERIC).entries)
+    assert (res.value, res.certified) == (2, True)
+
+
+def test_generic_profile_of_linear_form_powers_is_certified():
+    x = Polynomial.variable(0, 2)
+    y = Polynomial.variable(1, 2)
+    V = SubspaceV(2, _powers(x + y, 6))
+    rep = V.generic_report()
+    assert rep.rank_profile == tuple(range(1, 8))
+    assert rep.method == "evaluation" and rep.certified
+    assert rep.to_dict()["certified"] is True
+
+
+def test_generic_profile_grid_and_budget(monkeypatch):
+    import jetorders.jets as jets
+
+    rep = n_inj_at(_loose_space(), GENERIC)
+    assert rep.rank_profile == (1, 2, 3, 4) and rep.certified
+    monkeypatch.setattr(jets, "GRID_POINT_BUDGET", 0)
+    rep = n_inj_at(_loose_space(), GENERIC)
+    # the seeded point's lower bounds, flagged
+    assert rep.rank_profile == (1, 2, 3, 4) and not rep.certified
+    assert rep.to_dict()["certified"] is False
 
 
 def test_n_inj_examples():
@@ -118,6 +159,27 @@ def test_n_inj_examples():
     assert r.gap_sequence == (1, 3)
     assert n_inj_at(mono((0,)), (F(17),)).n_inj == 0
     assert mono((0,), (1,), (3,)).generic_report().n_inj == 2
+
+
+def test_dense_profile_at_rational_weierstrass_point():
+    # x^m -> (2x - 1)^m1 (3y - 2)^m2 moves the origin's orbit to (1/2, 2/3)
+    x = Polynomial.variable(0, 2)
+    y = Polynomial.variable(1, 2)
+    shifted = (2 * x - 1, 3 * y - 2)
+    exponents = [(0, 0), (1, 0), (0, 2), (3, 1), (2, 2)]
+    basis = []
+    for m in exponents:
+        p = Polynomial.constant(2, 1)
+        for factor, k in zip(shifted, m):
+            for _ in range(k):
+                p = p * factor
+        basis.append(p)
+    V = SubspaceV(2, basis)
+    assert not V.is_monomial
+    rep = n_inj_at(V, (F(1, 2), F(2, 3)))
+    origin = n_inj_at(mono(*exponents), (F(0), F(0)))
+    assert rep.rank_profile == origin.rank_profile == (1, 2, 3, 3, 5)
+    assert rep.n_inj > V.generic_report().n_inj
 
 
 def test_n_surj_examples():

@@ -327,3 +327,61 @@ def test_face_n1_surj_matches_symbolic_oracle():
             assert value == oracle_face_n_surj(P, face), (P.points, face.label())
             faces += 1
     assert faces >= 60
+
+
+def _linear_form_powers(rng):
+    """{s_k L^k : k <= top} for a seeded linear form L = a x + b y + c."""
+    from jetorders.algebra import Polynomial
+
+    x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    a, b, c = (rng.randint(1, 3) * rng.choice((-1, 1)) for _ in range(3))
+    form = a * x + b * y + Polynomial.constant(2, c)
+    basis = [Polynomial.constant(2, 1)]
+    for _ in range(rng.randint(2, 5)):
+        basis.append(basis[-1] * form)
+    return SubspaceV(2, [rng.choice((-2, -1, 1, 3)) * p for p in basis])
+
+
+def _factor_times_univariate(rng):
+    """(c + d y^e) W for a dense space W in x alone: the columns'
+    coefficient vectors over Q overcount the rank, so the grid decides."""
+    from helpers import random_dense_subspace
+    from jetorders.algebra import Polynomial
+
+    c, d = (rng.randint(1, 4) * rng.choice((-1, 1)) for _ in range(2))
+    y_power = Polynomial.monomial((0, rng.randint(1, 2)), d)
+    factor = Polynomial.constant(2, c) + y_power
+    W = random_dense_subspace(rng, 1, max_dim=4, degree=3)
+    lifted = [Polynomial(2, {(e[0], 0): v for e, v in p.items()}) for p in W.basis]
+    return SubspaceV(2, [factor * p for p in lifted])
+
+
+def test_generic_dense_profiles_match_symbolic_oracle():
+    # certified evaluation against fraction-free elimination over Q[x]; the
+    # columns' rational rank bounds the profile and is exact on powers of a
+    # linear form, whose equal-degree jet columns are proportional
+    from helpers import oracle_profile, random_dense_subspace
+    from jetorders.jets import GENERIC, _column_bounds
+
+    rng = random.Random(63)
+    spaces = []
+    for _ in range(260):
+        nvars = rng.choice((1, 2))
+        spaces.append(("dense", random_dense_subspace(rng, nvars, max_dim=5, degree=5 - nvars)))
+    spaces += [("powers", _linear_form_powers(rng)) for _ in range(25)]
+    spaces += [("factor", _factor_times_univariate(rng)) for _ in range(25)]
+    checked = 0
+    for kind, V in spaces:
+        if V.is_monomial:
+            continue
+        rep = V.generic_report()
+        oracle = oracle_profile(V, GENERIC)
+        assert rep.rank_profile == oracle, (kind, V.basis)
+        assert rep.method == "evaluation" and rep.certified
+        widths = [comb(n + V.nvars, V.nvars) for n in range(V.max_degree + 1)]
+        bounds = [min(V.dim, b) for b in _column_bounds(V.taylor_terms, widths)][:len(oracle)]
+        assert all(b >= r for b, r in zip(bounds, oracle)), (kind, V.basis)
+        if kind == "powers":
+            assert tuple(bounds) == oracle, V.basis
+        checked += 1
+    assert checked >= 300

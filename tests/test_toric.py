@@ -301,3 +301,15 @@ def test_n_inj_hilbert_raises_instead_of_looping(monkeypatch):
     monkeypatch.setattr(toric, "rank_exact", lambda rows, ncols=None: len(points) + ncols)
     with pytest.raises(InternalConsistencyError, match=f"by order {len(points) - 1}"):
         n_inj_hilbert(points)
+
+
+def test_lattice_row_basis_on_fibonacci_column():
+    # consecutive Fibonacci numbers make the Euclidean reduction longest
+    fib = [0, 1]
+    while len(fib) < 31:
+        fib.append(fib[-1] + fib[-2])
+    assert toric._lattice_row_basis([[fib[30]], [fib[29]]]) == [[1]]
+    basis = toric._lattice_row_basis([[fib[30], 1], [fib[29], 0]])
+    assert [row[0] for row in basis] == [1, 0]
+    # the lattice keeps its index |det| = F_29
+    assert basis[1][1] == fib[29]

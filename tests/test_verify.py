@@ -85,3 +85,20 @@ def test_verify_hirzebruch_computes_hilbert_order_once(monkeypatch):
     rep = verify_hirzebruch(1, 3, 1)
     assert rep.passed, rep.format_text()
     assert len(calls) == 1
+
+
+def test_hirzebruch_minors_build_no_symbolic_jet_matrix(monkeypatch):
+    # the vertex chart is monomial: its minors come from binomial integers
+    from jetorders import jets
+
+    calls = []
+    original = jets.jet_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(jets, "jet_matrix", counted)
+    rep = verify_hirzebruch(1, 3, 1)
+    assert rep.passed, rep.format_text()
+    assert calls == []
