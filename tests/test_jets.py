@@ -115,14 +115,19 @@ def _loose_space():
     return SubspaceV(2, [(1 + y) * q for q in _powers(x, 3)])
 
 
-def test_generic_rank_deficient_matrix_is_certified():
-    # rank 2 < 14: the columns' coefficient vectors span only x+y and xy
+def test_generic_rank_randomized_path():
+    # the 14x14 matrix that once took the randomized path is now ranked by
+    # certified evaluation: the columns' coefficient vectors span only x+y
+    # and xy, so the upper bound meets the rank 2 found at the seeded point
     x = Polynomial.variable(0, 2)
     y = Polynomial.variable(1, 2)
     rows = [[(x + y) * (i + 1) + x * y * j for j in range(14)] for i in range(14)]
     res = generic_rank(rows, seed=0)
     assert res.method == "evaluation" and res.certified
     assert res.value == 2
+
+
+def test_generic_rank_deficient_matrix_is_certified():
     # column 1 is (1 + y) times column d/dy, but their coefficient vectors
     # are independent over Q, so the grid certifies 2
     res = generic_rank(jet_matrix(_loose_space(), 1, GENERIC).entries)
