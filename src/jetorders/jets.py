@@ -404,7 +404,9 @@ def _certified_ranks(evaluate, widths, nrows, column_bounds, row_degrees, seed):
     if lower != upper:
         upper = [min(u, b) for u, b in zip(upper, column_bounds())]
     seen = set()
-    while True:
+    # each pass that does not return raises some lower bound or lowers the
+    # upper bound of its block, so sum(upper) + 1 passes suffice
+    for _ in range(sum(upper) + 1):
         if any(lo > up for lo, up in zip(lower, upper)):
             raise InternalConsistencyError(f"rank lower bounds {lower} exceed upper bounds {upper}")
         stop = lower.index(full) + 1 if full in lower else len(lower)
@@ -421,12 +423,15 @@ def _certified_ranks(evaluate, widths, nrows, column_bounds, row_degrees, seed):
                 return lower, False
             seen.add(point)
             lower = [max(a, b) for a, b in zip(lower, evaluate(point))]
-            if lower[gap] == size:
+            if lower[gap] >= size:
+                # the grid was sized for size-minors only; a block whose rank
+                # rose further needs the grid of its new lower bound
                 break
         else:
             # no size-minor of the block is nonzero on the grid, so none is
             # nonzero at all, and neither is one of a smaller block
             upper[:gap + 1] = [min(u, lower[gap]) for u in upper[:gap + 1]]
+    raise InternalConsistencyError(f"rank bounds {lower} and {upper} did not meet")
 
 
 def _polynomial_degrees(polys, nvars):
@@ -575,14 +580,17 @@ def n_inj_at(V, at=GENERIC, seed=0, generic_order=None):
     """Smallest n making the order-n Taylor map of V injective at `at`.
 
     Returns the full OrderReport (rank profile, gap sequence, jet order and
-    Weierstrass order against the generic injectivity order).
+    Weierstrass order against the generic injectivity order).  A report at
+    a point is certified only when the generic profile it is measured
+    against is too; a `generic_order` passed in is taken as exact.
     """
     if at is not GENERIC:
         at = _exact_point(V, at)
-    profile = _profile(V, at, seed)
+    ranks, method, certified = _profile(V, at, seed)
     if at is not GENERIC and generic_order is None:
-        generic_order = V.generic_report(seed).n_inj
-    return _order_report(V, at, *profile, generic_order)
+        generic = V.generic_report(seed)
+        generic_order, certified = generic.n_inj, certified and generic.certified
+    return _order_report(V, at, ranks, method, certified, generic_order)
 
 
 def n_surj_at(V, at, seed=0):
@@ -599,7 +607,8 @@ def weierstrass_scan(V, points, seed=0):
 
     For monomial V the profile depends only on the zero pattern of the
     point, so the points of one torus orbit share one elimination, and the
-    points with no zero coordinate share the generic profile.
+    points with no zero coordinate share the generic profile.  A point's
+    report is certified only when the generic profile is too.
     """
     generic = V.generic_report(seed)
     profiles = {(): (generic.rank_profile, "exact", True)} if V.is_monomial else {}
@@ -609,7 +618,9 @@ def weierstrass_scan(V, points, seed=0):
         key = _zero_pattern(p) if V.is_monomial else p
         if key not in profiles:
             profiles[key] = _profile(V, p, seed)
-        reports.append(_order_report(V, p, *profiles[key], generic.n_inj))
+        ranks, method, certified = profiles[key]
+        reports.append(_order_report(V, p, ranks, method, certified and generic.certified,
+                                     generic.n_inj))
     return reports
 
 

@@ -154,6 +154,36 @@ def test_generic_profile_grid_and_budget(monkeypatch):
     # the seeded point's lower bounds, flagged
     assert rep.rank_profile == (1, 2, 3, 4) and not rep.certified
     assert rep.to_dict()["certified"] is False
+    # a point's own profile is exact, but its Weierstrass order is measured
+    # against the uncertified generic order, so it is flagged as well
+    point = (F(2), F(3))
+    rep = n_inj_at(_loose_space(), point)
+    assert rep.method == "exact" and not rep.certified
+    (rep,) = weierstrass_scan(_loose_space(), [point])
+    assert not rep.certified and rep.to_dict()["certified"] is False
+
+
+def test_grid_rebuilt_when_a_point_raises_the_rank_by_two():
+    """diag(x, x - 1, x - 2) has generic rank 3.  When the seeded point is
+    degenerate (rank 0), the first grid, sized for 1-minors, is {0, 1}, and
+    x = 0 already gives rank 2; both of its points miss the 3-minor
+    x (x - 1) (x - 2), so only a grid sized for 3-minors can certify."""
+    from jetorders.jets import _certified_ranks
+    from jetorders.linalg import rank_exact
+
+    calls = []
+
+    def evaluate(point):
+        calls.append(point)
+        if len(calls) == 1:
+            return [0]
+        (x,) = point
+        return [rank_exact([[x, 0, 0], [0, x - 1, 0], [0, 0, x - 2]], 3)]
+
+    ranks, certified = _certified_ranks(evaluate, [3], 3, lambda: [3],
+                                        [(1,), (1,), (1,)], seed=0)
+    assert ranks == [3] and certified
+    assert (3,) in calls
 
 
 def test_n_inj_examples():
