@@ -26,7 +26,6 @@ from .diffops import (
     annihilator_weight_dim,
     check_irreducible,
     evaluation_image,
-    evaluation_image_dense_rank,
     hirzebruch_generators,
     preserve_check,
     preserving_operators_truncated,

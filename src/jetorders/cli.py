@@ -52,6 +52,30 @@ def _fail(code, message):
     raise SpaceFileError(code, message)
 
 
+def _load_json(text):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        _fail("E_SCHEMA", f"not valid JSON: {exc}")
+
+
+def _is_int(value):
+    """A JSON integer: `true` and `false` parse to bools, which are ints in
+    Python but not in the document schema."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_rational_entry(value):
+    """An exact rational from a JSON integer or a "p/q" string; a JSON float
+    is not exact and is refused."""
+    if not (_is_int(value) or isinstance(value, str)):
+        _fail("E_RATIONAL", f"{value!r} is not an integer or a 'p/q' string")
+    try:
+        return parse_rational(value)
+    except ValueError as exc:
+        _fail("E_RATIONAL", str(exc))
+
+
 def parse_space(text):
     """Parse a space document into a validated SubspaceV.
 
@@ -59,10 +83,7 @@ def parse_space(text):
     {"nvars": n, "polynomials": [{"[e..]": "p/q", ...}, ...]}, plus the
     optional key "seed".
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        _fail("E_SCHEMA", f"not valid JSON: {exc}")
+    doc = _load_json(text)
     if not isinstance(doc, dict) or "nvars" not in doc:
         _fail("E_SCHEMA", "document must be an object with an 'nvars' key")
     for key in REMOVED_SPACE_KEYS:
@@ -70,7 +91,7 @@ def parse_space(text):
             _fail("E_SCHEMA", f"key '{key}' was removed: generic ranks are certified "
                               "by evaluation and take no tuning keys")
     nvars = doc["nvars"]
-    if not isinstance(nvars, int) or nvars < 1:
+    if not _is_int(nvars) or nvars < 1:
         _fail("E_SCHEMA", "'nvars' must be a positive integer")
 
     if ("monomials" in doc) == ("polynomials" in doc):
@@ -103,12 +124,7 @@ def parse_space(text):
                 exp = json.loads(key)
             except json.JSONDecodeError:
                 _fail("E_SCHEMA", f"bad exponent key {key!r}")
-            exp = _parse_exponent(exp, nvars)
-            try:
-                coeff = parse_rational(value)
-            except ValueError:
-                _fail("E_RATIONAL", f"bad rational {value!r}")
-            terms[exp] = coeff
+            terms[_parse_exponent(exp, nvars)] = _parse_rational_entry(value)
         basis.append(Polynomial(nvars, terms))
     try:
         return SubspaceV(nvars, basis), doc
@@ -121,7 +137,7 @@ def _parse_exponent(value, nvars):
         _fail("E_DIM", f"exponent {value!r} does not have {nvars} entries")
     out = []
     for e in value:
-        if not isinstance(e, int):
+        if not _is_int(e):
             _fail("E_SCHEMA", f"exponent entry {e!r} is not an integer")
         if e < 0:
             _fail("E_NEG_EXPONENT", f"negative exponent in {value!r}")
@@ -144,10 +160,7 @@ def serialize_space(V):
 
 
 def parse_polytope(text):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        _fail("E_SCHEMA", f"not valid JSON: {exc}")
+    doc = _load_json(text)
     if not isinstance(doc, dict) or not ({"points", "vertices"} & set(doc)):
         _fail("E_SCHEMA", "polytope document needs 'vertices' and/or 'points'")
     edges = doc.get("edges", [])
@@ -165,7 +178,7 @@ def parse_polytope(text):
 
 def _is_point_list(value):
     return isinstance(value, list) and all(
-        isinstance(p, list) and all(isinstance(c, int) for c in p) for p in value)
+        isinstance(p, list) and all(_is_int(c) for c in p) for p in value)
 
 
 def _parse_point(text, nvars):
@@ -179,6 +192,8 @@ def _parse_point(text, nvars):
 
 
 def _resolve_seed(args, doc):
+    if doc and "seed" in doc and not _is_int(doc["seed"]):
+        _fail("E_SCHEMA", "'seed' must be an integer")
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get(SEED_ENV_VAR)
@@ -187,7 +202,7 @@ def _resolve_seed(args, doc):
             return int(env)
         except ValueError:
             _fail("E_SCHEMA", f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-    if doc and isinstance(doc.get("seed"), int):
+    if doc and "seed" in doc:
         return doc["seed"]
     return 0
 
@@ -249,7 +264,7 @@ def _cmd_orders(args):
 def _cmd_scan(args):
     V, doc = parse_space(_read(args.space))
     seed = _resolve_seed(args, doc)
-    pts_doc = json.loads(_read(args.points))
+    pts_doc = _load_json(_read(args.points))
     if (not isinstance(pts_doc, dict) or not isinstance(pts_doc.get("points"), list)
             or not all(isinstance(p, list) for p in pts_doc["points"])):
         _fail("E_SCHEMA", "points document must be {\"points\": [[..], ..]}")
@@ -257,7 +272,7 @@ def _cmd_scan(args):
     for p in pts_doc["points"]:
         if len(p) != V.nvars:
             _fail("E_DIM", f"point {p!r} does not have {V.nvars} coordinates")
-        points.append(tuple(parse_rational(str(c)) for c in p))
+        points.append(tuple(_parse_rational_entry(c) for c in p))
     reports = weierstrass_scan(V, points, seed=seed)
     out = _report_envelope("scan", seed, json.loads(serialize_space(V)),
                            [r.to_dict() for r in reports],
@@ -322,7 +337,7 @@ def _cmd_toric(args):
     P, doc = parse_polytope(_read(args.polytope))
     seed = _resolve_seed(args, doc)
     bound = doc.get("very_ample_bound", 10)
-    if not isinstance(bound, int) or bound < 0:
+    if not _is_int(bound) or bound < 0:
         _fail("E_SCHEMA", "'very_ample_bound' must be a non-negative integer")
     rep = toric_report(P, seed=seed, with_orders=not args.no_orders, very_ample_bound=bound)
     inputs = {"points": [list(p) for p in P.points],
@@ -428,16 +443,20 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SpaceFileError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
+    except ValueError as exc:  # every input error class is a ValueError
+        print(f"error[{_error_code(exc)}]: {exc}", file=sys.stderr)
         return 2
-    except (DegeneratePolytopeError, BasisConditionError, NonSaturatedInputError,
-            UnsupportedPolytopeError, DependentBasisError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+
+
+def _error_code(exc):
+    if isinstance(exc, SpaceFileError):
+        return exc.code
+    if isinstance(exc, DependentBasisError):
+        return "E_DEPENDENT"
+    if isinstance(exc, (DegeneratePolytopeError, BasisConditionError,
+                        NonSaturatedInputError, UnsupportedPolytopeError)):
+        return "E_POLYTOPE"
+    return "E_VALUE"
 
 
 if __name__ == "__main__":

@@ -5,13 +5,23 @@ combination of terms x^(alpha+w) d^alpha with alpha + w >= 0 and
 |alpha| <= n; it sends x^m to c_m x^(m+w) with c_m the falling-factorial
 sum of its coefficients.  Preservation of span{x^m : m in P} forces
 c_m = 0 whenever m + w falls outside P, and the annihilator slice is cut
-out by c_m = 0 for every m.  The image of all preserving operators inside
-End(V) is assembled weight by weight; only weights in P - P can act
-nontrivially.
+out by c_m = 0 for every m.  Both are integer linear conditions on the
+coefficients, one row ((m)_alpha)_alpha per m.
+
+The image of all preserving operators inside End(V) is a direct sum over
+the weights of P - P: a weight-w operator only lands on the matrix units
+E_(m+w, m), and units of different weights are disjoint.  Within one
+weight the image is the preserving slice modulo its annihilator, so
+
+    rank = sum over w of (dim_w - ann_w),
+
+and V is irreducible iff every block reaches |{m in P : m + w in P}|.
+No dim x dim matrix is ever built.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,9 +44,35 @@ def _normalize_points(points):
     return [tuple(int(c) for c in p) for p in points]
 
 
-def _weight_terms(nvars, weight, order):
-    return [a for a in exponents_upto(nvars, order)
-            if all(ai + wi >= 0 for ai, wi in zip(a, weight))]
+def _weight_constraints(points, weight, order):
+    """The weight-w terms alpha, the annihilator dimension of their span,
+    and the preservation rows.
+
+    Each m in P gives the integer row ((m)_alpha)_alpha.  All of them cut
+    out the annihilator slice, so its dimension is |terms| minus their
+    rank; the rows of the m with m + w outside P cut out the preserving
+    slice, whose basis the caller solves for."""
+    if len(weight) != len(points[0]):
+        raise ValueError(f"weight has {len(weight)} entries, expected {len(points[0])}")
+    alphas, table = _falling_factorials(tuple(points), order)
+    keep = [i for i, a in enumerate(alphas) if all(ai + wi >= 0 for ai, wi in zip(a, weight))]
+    point_set = set(points)
+    rows = []
+    leaving = []
+    for m, full in zip(points, table):
+        row = [full[i] for i in keep]
+        rows.append(row)
+        if tuple(mi + wi for mi, wi in zip(m, weight)) not in point_set:
+            leaving.append(row)
+    return [alphas[i] for i in keep], len(keep) - rank_exact(rows, len(keep)), leaving
+
+
+@functools.lru_cache(maxsize=8)
+def _falling_factorials(points, order):
+    """Every |alpha| <= order and the table (m)_alpha over m in P; the
+    weights of one End(V) image share it, each taking its own columns."""
+    alphas = tuple(exponents_upto(len(points[0]), order))
+    return alphas, tuple(tuple(falling_factorial(m, a) for a in alphas) for m in points)
 
 
 @dataclass(frozen=True)
@@ -44,7 +80,6 @@ class WeightSpace:
     weight: tuple
     order: int
     terms: tuple  # alpha exponents indexing the coefficients
-    constraint_matrix: tuple  # rows over Q
     basis: tuple  # weight-homogeneous DifferentialOperators
     annihilator_dim: int
 
@@ -58,46 +93,30 @@ def preserving_weight_space(points, weight, order):
     preserving the monomial subspace on P, plus the annihilator dimension
     of the same slice."""
     points = _normalize_points(points)
-    nvars = len(points[0])
     weight = tuple(int(w) for w in weight)
-    if len(weight) != nvars:
-        raise ValueError(f"weight has {len(weight)} entries, expected {nvars}")
-    terms = _weight_terms(nvars, weight, order)
-    point_set = set(points)
-    preserve_rows = []
-    all_rows = []
-    for m in points:
-        row = [Fraction(falling_factorial(m, a)) for a in terms]
-        all_rows.append(row)
-        target = tuple(mi + wi for mi, wi in zip(m, weight))
-        if target not in point_set:
-            preserve_rows.append(row)
-    if terms:
-        kernel = nullspace(preserve_rows, len(terms))
-        ann = len(nullspace(all_rows, len(terms)))
-    else:
-        kernel, ann = [], 0
+    terms, ann, leaving = _weight_constraints(points, weight, order)
     ops = []
-    for vec in kernel:
+    for vec in nullspace(leaving, len(terms)):
         op_terms = {}
         for a, c in zip(terms, vec):
             if c:
                 beta = tuple(ai + wi for ai, wi in zip(a, weight))
                 op_terms[(beta, a)] = c
-        ops.append(DifferentialOperator(nvars, op_terms))
+        ops.append(DifferentialOperator(len(weight), op_terms))
     return WeightSpace(
         weight=weight,
         order=order,
         terms=tuple(terms),
-        constraint_matrix=tuple(tuple(r) for r in preserve_rows),
         basis=tuple(ops),
         annihilator_dim=ann,
     )
 
 
 def annihilator_weight_dim(points, weight, order):
-    """Dimension of the weight-w slice of the order-<=n annihilator."""
-    return preserving_weight_space(points, weight, order).annihilator_dim
+    """Dimension of the weight-w slice of the order-<=n annihilator: one
+    integer rank, no kernel basis."""
+    return _weight_constraints(_normalize_points(points),
+                               tuple(int(w) for w in weight), order)[1]
 
 
 def weight_window(points):
@@ -110,7 +129,6 @@ def weight_window(points):
 @dataclass(frozen=True)
 class EndImage:
     dim: int
-    matrices: tuple  # flattened dim*dim rational vectors, one per spanning operator
     rank: int
     by_weight: tuple  # ((weight, preserving dim, annihilator dim), ...)
     spaces: tuple  # the WeightSpace of each weight of P - P, in the same order
@@ -121,92 +139,21 @@ class EndImage:
 
 
 def evaluation_image(V, order):
-    """Span inside End(V) of all order-<=n operators preserving monomial V,
-    computed weight by weight over P - P."""
+    """Span inside End(V) of all order-<=n operators preserving monomial V:
+    the sum over the weights w of P - P of dim_w - ann_w (see the module
+    docstring)."""
     points = _normalize_points(V)
-    nvars = len(points[0])
-    index = {m: i for i, m in enumerate(points)}
-    dim = len(points)
-    flat = []
-    by_weight = []
-    spaces = []
-    for w in weight_window(points):
-        space = preserving_weight_space(points, w, order)
-        spaces.append(space)
-        by_weight.append((w, space.dimension, space.annihilator_dim))
-        for vec_op in space.basis:
-            matrix = [[Fraction(0)] * dim for _ in range(dim)]
-            for j, m in enumerate(points):
-                target = tuple(mi + wi for mi, wi in zip(m, w))
-                c = Fraction(0)
-                for (beta, alpha), coeff in vec_op.items():
-                    c += coeff * falling_factorial(m, alpha)
-                if c:
-                    matrix[index[target]][j] = c
-            flat.append([e for row in matrix for e in row])
-    rank = rank_exact(flat, dim * dim) if flat else 0
-    return EndImage(dim=dim, matrices=tuple(map(tuple, flat)), rank=rank,
-                    by_weight=tuple(by_weight), spaces=tuple(spaces))
+    spaces = tuple(preserving_weight_space(points, w, order)
+                   for w in weight_window(points))
+    by_weight = tuple((s.weight, s.dimension, s.annihilator_dim) for s in spaces)
+    return EndImage(dim=len(points),
+                    rank=sum(dim - ann for _, dim, ann in by_weight),
+                    by_weight=by_weight, spaces=spaces)
 
 
 def check_irreducible(V, order):
     """True iff the preserving operators of order <= n span all of End(V)."""
-    image = evaluation_image(V, order)
-    return image.rank == image.dim * image.dim
-
-
-def evaluation_image_dense_rank(V, order):
-    """Independent recomputation of the evaluation-image rank.
-
-    Parametrizes every operator with |alpha| <= n and beta in the bounding
-    box (P - P) + [0, n]^nvars, solves the preservation constraints in one
-    dense system, and ranks the resulting matrices on the basis of V.
-    """
-    points = _normalize_points(V)
-    nvars = len(points[0])
-    dim = len(points)
-    point_set = set(points)
-    index = {m: i for i, m in enumerate(points)}
-    alphas = exponents_upto(nvars, order)
-    box = list(itertools.product(range(order + 1), repeat=nvars))
-    betas = sorted({
-        tuple(d + e for d, e in zip(diff, shift))
-        for diff in weight_window(points)
-        for shift in box
-        if all(d + e >= 0 for d, e in zip(diff, shift))
-    })
-    columns = [(b, a) for b in betas for a in alphas]
-    col_index = {key: i for i, key in enumerate(columns)}
-    constraint = {}
-    for m in points:
-        for (b, a) in columns:
-            f = falling_factorial(m, a)
-            if not f:
-                continue
-            target = tuple(mi - ai + bi for mi, ai, bi in zip(m, a, b))
-            if target in point_set:
-                continue
-            constraint.setdefault((m, target), [Fraction(0)] * len(columns))
-            constraint[(m, target)][col_index[(b, a)]] += f
-    kernel = nullspace(list(constraint.values()), len(columns))
-    flat = []
-    for vec in kernel:
-        matrix = [[Fraction(0)] * dim for _ in range(dim)]
-        nontrivial = False
-        for (b, a), c in zip(columns, vec):
-            if not c:
-                continue
-            for j, m in enumerate(points):
-                f = falling_factorial(m, a)
-                if not f:
-                    continue
-                target = tuple(mi - ai + bi for mi, ai, bi in zip(m, a, b))
-                if target in point_set:
-                    matrix[index[target]][j] += c * f
-                    nontrivial = True
-        if nontrivial:
-            flat.append([e for row in matrix for e in row])
-    return rank_exact(flat, dim * dim) if flat else 0
+    return evaluation_image(V, order).full
 
 
 def preserving_operators_truncated(V, order, coeff_degree):

@@ -34,7 +34,7 @@ def _as_integer_rows(rows):
     for row in rows:
         den = 1
         for e in row:
-            if isinstance(e, Fraction):
+            if type(e) is not int:
                 d = e.denominator
                 den = den // gcd(den, d) * d
         out.append([int(e * den) if den != 1 else int(e) for e in row])
@@ -119,14 +119,13 @@ def _eliminate(int_rows, ncols, reduced=False):
 
 def rank_exact(rows, ncols=None):
     """Exact rank of a matrix with integer or Fraction entries."""
-    rows = [list(r) for r in rows]
-    if not rows:
+    ints = _as_integer_rows(rows)
+    if not ints:
         return 0
     if ncols is None:
-        ncols = len(rows[0])
+        ncols = len(ints[0])
     if ncols == 0:
         return 0
-    ints = _as_integer_rows(rows)
     ceiling = min(len(ints), ncols)
     if ceiling >= _MODULAR_MIN_DIM:
         for p in _PRIMES:

@@ -1,11 +1,13 @@
 """Shared generators for randomized test cases (all explicitly seeded)."""
 
+import itertools
 from fractions import Fraction
 from math import comb
 
-from jetorders.algebra import Polynomial, exponents_upto, poly_divexact
+from jetorders.algebra import Polynomial, exponents_upto, falling_factorial, poly_divexact
+from jetorders.diffops import weight_window
 from jetorders.jets import GENERIC, DependentBasisError, SubspaceV, generic_rank, jet_matrix
-from jetorders.linalg import rank_exact
+from jetorders.linalg import nullspace, rank_exact
 from jetorders.toric import polytope_build, vertex_chart
 from jetorders.verify import hirzebruch_points
 
@@ -79,6 +81,61 @@ def rank_symbolic(rows, ncols):
         if rank == nrows:
             break
     return rank
+
+
+def evaluation_image_dense_rank(V, order):
+    """Reference rank of the End(V) image of the order-<=n operators
+    preserving monomial V, without the weight grading.
+
+    Parametrizes every operator with |alpha| <= n and beta in the bounding
+    box (P - P) + [0, n]^nvars, solves the preservation constraints in one
+    dense system, and ranks the resulting matrices on the basis of V.
+    """
+    points = list(V.monomial_points)
+    nvars = len(points[0])
+    dim = len(points)
+    point_set = set(points)
+    index = {m: i for i, m in enumerate(points)}
+    alphas = exponents_upto(nvars, order)
+    box = list(itertools.product(range(order + 1), repeat=nvars))
+    betas = sorted({
+        tuple(d + e for d, e in zip(diff, shift))
+        for diff in weight_window(points)
+        for shift in box
+        if all(d + e >= 0 for d, e in zip(diff, shift))
+    })
+    columns = [(b, a) for b in betas for a in alphas]
+    col_index = {key: i for i, key in enumerate(columns)}
+    constraint = {}
+    for m in points:
+        for (b, a) in columns:
+            f = falling_factorial(m, a)
+            if not f:
+                continue
+            target = tuple(mi - ai + bi for mi, ai, bi in zip(m, a, b))
+            if target in point_set:
+                continue
+            constraint.setdefault((m, target), [Fraction(0)] * len(columns))
+            constraint[(m, target)][col_index[(b, a)]] += f
+    kernel = nullspace(list(constraint.values()), len(columns))
+    flat = []
+    for vec in kernel:
+        matrix = [[Fraction(0)] * dim for _ in range(dim)]
+        nontrivial = False
+        for (b, a), c in zip(columns, vec):
+            if not c:
+                continue
+            for j, m in enumerate(points):
+                f = falling_factorial(m, a)
+                if not f:
+                    continue
+                target = tuple(mi - ai + bi for mi, ai, bi in zip(m, a, b))
+                if target in point_set:
+                    matrix[index[target]][j] += c * f
+                    nontrivial = True
+        if nontrivial:
+            flat.append([e for row in matrix for e in row])
+    return rank_exact(flat, dim * dim) if flat else 0
 
 
 def oracle_profile(V, at):

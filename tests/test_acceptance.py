@@ -10,12 +10,11 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
-from helpers import rank_symbolic, rational_point
+from helpers import evaluation_image_dense_rank, rank_symbolic, rational_point
 from jetorders.algebra import exponents_upto
 from jetorders.diffops import (
     annihilator_weight_dim,
     evaluation_image,
-    evaluation_image_dense_rank,
     sl_generators,
     weight_window,
 )

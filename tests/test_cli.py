@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -178,6 +179,35 @@ def test_dv_solves_each_weight_once(tmp_path, capsys, monkeypatch):
     assert [tuple(w["weight"]) for w in doc["result"]["weights"]] == window
 
 
+def test_dv_eliminates_no_matrix_wider_than_a_weight(tmp_path, capsys, monkeypatch):
+    # the End(V) rank is read off the weight blocks, so no elimination (exact
+    # or modular) sees a dim^2-wide matrix: each has at most one column per
+    # weight-w term
+    from jetorders import diffops, linalg
+    from jetorders.algebra import exponents_upto
+
+    points = exponents_upto(2, 3)
+    space = write(tmp_path, "s.json", {"nvars": 2, "monomials": [list(p) for p in points]})
+    widths = []
+    eliminate, rank_mod_p = linalg._eliminate, linalg._rank_mod_p
+
+    def counted_eliminate(rows, ncols, reduced=False):
+        widths.append(ncols)
+        return eliminate(rows, ncols, reduced)
+
+    def counted_rank_mod_p(rows, ncols, p):
+        widths.append(ncols)
+        return rank_mod_p(rows, ncols, p)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(linalg, "_rank_mod_p", counted_rank_mod_p)
+    code, out, _ = run_cli(capsys, "dv", "--space", space, "--order", "3", "--json")
+    assert code == 0 and json.loads(out)["result"]["irreducible"] is True
+    widest = max(len(diffops.preserving_weight_space(points, w, 3).terms)
+                 for w in diffops.weight_window(points))
+    assert widths and max(widths) <= widest < len(points) ** 2
+
+
 def test_dv_weight_window(tmp_path, capsys):
     space = write(tmp_path, "s.json", {"nvars": 1, "monomials": [[0], [1]]})
     code, out, _ = run_cli(capsys, "dv", "--space", space, "--order", "2",
@@ -200,7 +230,7 @@ def test_toric_command(tmp_path, capsys):
 def test_toric_non_smooth_exit_2(tmp_path, capsys):
     poly = write(tmp_path, "p.json", {"vertices": [[0, 0], [2, 0], [0, 1]]})
     code, _, err = run_cli(capsys, "toric", "--polytope", poly, "--report")
-    assert code == 2
+    assert code == 2 and err.startswith("error[E_POLYTOPE]")
     assert "basis condition fails at vertex" in err
     code, _, _ = run_cli(capsys, "toric", "--polytope", poly, "--report", "--no-orders")
     assert code == 0
@@ -247,6 +277,8 @@ MALFORMED_INPUTS = [
      {"space": MONOMIAL_SPACE, "points": {"points": [5]}}),
     (["scan", "--space", "{space}", "--points", "{points}"],
      {"space": MONOMIAL_SPACE, "points": {"points": 5}}),
+    (["scan", "--space", "{space}", "--points", "{points}"],
+     {"space": MONOMIAL_SPACE, "points": "not json"}),
     (["orders", "--space", "{space}", "--generic"],
      {"space": {"nvars": 1, "polynomials": [{"[0]": "1", "[1]": "1"}], "symbolic_threshold": "a"}}),
     (["orders", "--space", "{space}", "--generic"],
@@ -272,3 +304,89 @@ def test_malformed_input_exits_2_with_schema_error(tmp_path, capsys):
         assert code == 2 and err.startswith("error[E_SCHEMA]"), (argv, docs, err)
         for key in ("symbolic_threshold", "random_trials"):
             assert (key in docs.get("space", {})) == (f"key '{key}' was removed" in err)
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzzing of the input layer: every mutation below turns a valid
+# document into an invalid one, which must exit 2 with an error code
+
+FUZZ_DOCUMENTS = [
+    ("space", {"nvars": 2, "monomials": [[0, 0], [1, 0], [0, 1], [1, 1]], "seed": 3}),
+    ("space", {"nvars": 2, "polynomials": [{"[0, 0]": "1", "[1, 0]": "1/2"}, {"[0, 1]": "3"},
+                                           {"[1, 1]": "-2/3", "[2, 0]": "1"}]}),
+    ("points", {"points": [["1/2", -3], [2, "5/7"], ["0", 4]]}),
+    ("polytope", {"vertices": [[0, 0], [2, 0], [0, 2]], "very_ample_bound": 3, "seed": 1}),
+    ("polytope", {"points": [[0], [1], [2]]}),
+]
+FUZZ_REQUIRED = {"space": ("nvars", "monomials", "polynomials"), "points": ("points",),
+                 "polytope": ("vertices", "points")}
+FUZZ_LEAVES = (1.5, None, True, "x", {}, [])
+FUZZ_KEYS = ("x", "[0]", "[-1, 0]", "[true, 0]", "[0.5, 0]", "[[0], 0]")
+
+
+def _nodes(value, path=()):
+    yield path, value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _nodes(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _nodes(item, path + (i,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def _mutations(kind, doc):
+    """Every invalid neighbour of a valid document, by kind of mutation."""
+    nodes = [(p, v) for p, v in _nodes(doc) if p[:1] != ("seed",)]
+    drop = [{k: v for k, v in doc.items() if k != key}
+            for key in FUZZ_REQUIRED[kind] if key in doc]
+    swap = []
+    for path, value in nodes:
+        if isinstance(value, (dict, list)):
+            others = ([], "x", 5) if isinstance(value, dict) else ({}, "x", 5)
+            swap.extend(_replaced(doc, path, other) for other in others)
+        else:
+            swap.extend(_replaced(doc, path, leaf) for leaf in FUZZ_LEAVES)
+    if "seed" in doc:
+        swap.extend(dict(doc, seed=leaf) for leaf in FUZZ_LEAVES + ("3",))
+    nest = [_replaced(doc, path, [value]) for path, value in nodes]
+    # only exponents, nvars, lattice coordinates and bounds must be >= 0
+    negate = [_replaced(doc, path, -value - 1) for path, value in nodes
+              if type(value) is int and kind != "points" and "polynomials" not in path]
+    rename = [_replaced(doc, path, {new if k == old else k: v for k, v in value.items()})
+              for path, value in nodes if path[:1] == ("polynomials",) and len(path) == 2
+              for old in value for new in FUZZ_KEYS]
+    return {"drop": drop, "swap": swap, "nest": nest, "negate": negate, "rename": rename}
+
+
+def test_fuzzed_documents_exit_2_with_error_code(tmp_path, capsys):
+    rng = random.Random(2024)
+    space = write(tmp_path, "space.json", FUZZ_DOCUMENTS[0][1])
+    argv = {
+        "space": ("orders", "--space", "{doc}", "--generic"),
+        "points": ("scan", "--space", space, "--points", "{doc}"),
+        "polytope": ("toric", "--polytope", "{doc}", "--report"),
+    }
+    tried, wrong = 0, []
+    for kind, doc in FUZZ_DOCUMENTS:
+        path = write(tmp_path, "valid.json", doc)
+        assert run_cli(capsys, *[a.format(doc=path) for a in argv[kind]])[0] == 0, doc
+        for how, mutants in _mutations(kind, doc).items():
+            for mutant in rng.sample(mutants, min(len(mutants), 12)):
+                path = write(tmp_path, "mutant.json", mutant)
+                code, _, err = run_cli(capsys, *[a.format(doc=path) for a in argv[kind]])
+                if code != 2 or not err.startswith("error[E_") or "Traceback" in err:
+                    wrong.append((kind, how, mutant, code, err))
+                tried += 1
+    assert not wrong, wrong
+    assert tried > 150

@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from helpers import random_monomial_subspace
+from helpers import evaluation_image_dense_rank, random_monomial_subspace
 from jetorders.algebra import DifferentialOperator, Polynomial, op_apply
 from jetorders.diffops import (
     all_preserve,
     annihilator_weight_dim,
     check_irreducible,
     evaluation_image,
-    evaluation_image_dense_rank,
     hirzebruch_generators,
     preserve_check,
     preserving_weight_space,

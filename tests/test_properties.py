@@ -5,13 +5,20 @@ from fractions import Fraction as F
 from math import comb
 
 from helpers import (
+    evaluation_image_dense_rank,
     random_monomial_subspace,
     random_point_set,
     random_smooth_polytope,
     random_subspace,
     rational_point,
 )
-from jetorders.diffops import annihilator_weight_dim, evaluation_image, weight_window
+from jetorders.algebra import exponents_upto
+from jetorders.diffops import (
+    annihilator_weight_dim,
+    check_irreducible,
+    evaluation_image,
+    weight_window,
+)
 from jetorders.jets import (
     SubspaceV,
     jet_matrix,
@@ -193,6 +200,34 @@ def test_evaluation_image_rank_is_weight_dimension_sum():
         image = evaluation_image(V, n)
         total = sum(dim - ann for _, dim, ann in image.by_weight)
         assert image.rank == total
+
+
+def test_evaluation_image_blocks_match_dense_oracle():
+    # the weight-graded rank against the ungraded dense computation, on
+    # spaces in one to three variables, below and at their injectivity order
+    rng = random.Random(46)
+    at_n_inj = 0
+    for case in range(40):
+        nvars = (1, 2, 3)[case % 3]
+        box = {1: 5, 2: 2, 3: 1}[nvars]
+        universe = [e for e in exponents_upto(nvars, nvars * box) if max(e) <= box]
+        P = sorted(rng.sample(universe, rng.randint(2, 5 if nvars < 3 else 3)))
+        V = SubspaceV.from_monomials(nvars, P)
+        n_inj = n_inj_at(V, (F(0),) * nvars).n_inj
+        # the ungraded oracle grows fast with the order and size in three variables
+        top = 3 if nvars < 3 else 2
+        n = n_inj if case % 4 == 0 and n_inj <= top else rng.randint(0, top)
+        image = evaluation_image(V, n)
+        assert image.rank == evaluation_image_dense_rank(V, n), (P, n)
+        irreducible = check_irreducible(V, n)
+        assert irreducible == (image.rank == V.dim ** 2), (P, n)
+        assert irreducible or n < n_inj, (P, n)
+        at_n_inj += n == n_inj
+        pset = set(P)
+        for w, dim, ann in image.by_weight:
+            block = sum(tuple(a + b for a, b in zip(m, w)) in pset for m in P)
+            assert 0 <= dim - ann <= block, (P, n, w)
+    assert at_n_inj >= 10
 
 
 def test_pointwise_n_surj_bounded_by_generic_n_inj():
