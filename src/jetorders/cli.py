@@ -339,7 +339,7 @@ def _cmd_toric(args):
     bound = doc.get("very_ample_bound", 10)
     if not _is_int(bound) or bound < 0:
         _fail("E_SCHEMA", "'very_ample_bound' must be a non-negative integer")
-    rep = toric_report(P, seed=seed, with_orders=not args.no_orders, very_ample_bound=bound)
+    rep = toric_report(P, with_orders=not args.no_orders, very_ample_bound=bound)
     inputs = {"points": [list(p) for p in P.points],
               "vertices": [list(v) for v in P.vertices]}
     out = _report_envelope("toric", seed, inputs, rep.to_dict())

@@ -14,7 +14,8 @@ elimination of the top-order matrix (`linalg.prefix_ranks`).  A monomial
 subspace builds no jet matrix at all: on the torus orbit with zero
 coordinates Z (Z is empty at the generic point) its jet matrix is
 D_r C_Z D_c with D_r, D_c invertible and diagonal, so the exact profile
-comes from the integer matrix C_Z of `binomial_rows`.
+comes from the integer matrix C_Z of `binomial_rows`
+(`monomial_prefix_ranks`).
 
 A dense subspace with integer coefficient matrix C over its support has
 the jet matrix J(a) = C T(a) at a point a, where T(a)[m, alpha] =
@@ -268,6 +269,15 @@ def binomial_rows(points, n, zeros=()):
     return [[binomial_product(m, a) if all(m[i] == a[i] for i in zeros) else 0
              for a in cols]
             for m in points]
+
+
+def monomial_prefix_ranks(points, top, zeros=()):
+    """Ranks of the order-n blocks of C_Z (`binomial_rows`) for n = 0..top,
+    from one elimination: the jet-rank profile of the monomial space on
+    `points` at the orbit with zero coordinates Z."""
+    nvars = len(points[0])
+    widths = [comb(n + nvars, nvars) for n in range(top + 1)]
+    return prefix_ranks(binomial_rows(points, top, zeros), widths)
 
 
 def _dense_jet_rows(V, point):
@@ -530,7 +540,7 @@ def _profile(V, at, seed):
     certified = True
     if V.is_monomial:
         zeros = () if at is GENERIC else _zero_pattern(at)
-        ranks = prefix_ranks(binomial_rows(V.monomial_points, top, zeros), widths)
+        ranks = monomial_prefix_ranks(V.monomial_points, top, zeros)
         method = "monomial-scaling" if at is GENERIC else "exact"
     elif at is not GENERIC:
         ranks = prefix_ranks(_dense_jet_rows(V, at), widths)
@@ -700,9 +710,4 @@ def weierstrass_minors(V, seed=0, cap=200):
             if not det.is_zero:
                 minors.append(det)
     return MinorsReport(generic.n_inj, tuple(minors), total, truncated)
-
-
-def in_minor_zero_locus(report, point):
-    """True when every minor vanishes at the rational point."""
-    return all(m(point) == 0 for m in report.minors)
 

@@ -7,19 +7,24 @@ very-ampleness (semigroup saturation), edge lengths s(P), the maximal
 collinear count d^g(P), the generic injectivity order via the Hilbert
 function of the point set, per-orbit injectivity orders via the
 translate/slice recursion, and the toric jet orders n_surj / n1_surj.
+
+The Hilbert function of P is the jet-rank profile of C_empty
+(`jets.monomial_prefix_ranks`) of P translated to its coordinatewise
+minimum, which neither the translation nor the degree-preserving change
+from m^alpha to C(m, alpha) alters; d^g(P) buckets the later points b of
+each point a by the primitive direction of b - a.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd
 
-from .algebra import exponents_upto
-from .jets import InternalConsistencyError, SubspaceV, binomial_rows
-from .linalg import SpanChecker, det_exact, prefix_ranks, rank_exact
+from .jets import InternalConsistencyError, SubspaceV, monomial_prefix_ranks
+from .linalg import SpanChecker, det_exact, rank_exact
 
 
 class DegeneratePolytopeError(ValueError):
@@ -525,112 +530,22 @@ def edge_stats(P):
 
 
 def d_gonal(P):
-    """Maximum number of collinear lattice points of P."""
+    """Maximum number of collinear lattice points of P.
+
+    In sorted order every later point b has b - a lexicographically
+    positive, so the primitive direction of b - a names the line through a
+    and b; the largest bucket of one direction, plus a, is the most points
+    on a line whose first point is a."""
     pts = P.points if isinstance(P, LatticePolytope) else tuple(sorted(set(map(tuple, P))))
-    if len(pts) <= 1:
-        return len(pts)
-    best = 1
-    seen = set()
-    for a, b in itertools.combinations(pts, 2):
-        d, _ = _primitive(_sub(b, a))
-        anchor = min(_line_anchor(a, d), _line_anchor(b, d))
-        key = (d, anchor)
-        if key in seen:
-            continue
-        seen.add(key)
-        count = sum(1 for p in pts if _collinear(a, d, p))
-        best = max(best, count)
+    best = 0
+    for i, a in enumerate(pts):
+        lines = Counter(_primitive(_sub(b, a))[0] for b in pts[i + 1:])
+        best = max(best, 1 + max(lines.values(), default=0))
     return best
-
-
-def _line_anchor(p, d):
-    # canonical representative of the line through p with direction d
-    t = None
-    for pi, di in zip(p, d):
-        if di:
-            t = Fraction(pi, di)
-            break
-    return tuple(pi - t * di for pi, di in zip(p, d))
-
-
-def _collinear(a, d, p):
-    v = _sub(p, a)
-    if not any(v):
-        return True
-    pv, _ = _primitive(v)
-    return pv == d or pv == tuple(-x for x in d)
 
 
 # ---------------------------------------------------------------------------
 # Hilbert-function computation of the generic injectivity order
-
-
-def lattice_coordinates(points):
-    """Re-express a point set in a basis of the sublattice its differences
-    generate.  Returns the list of coordinate tuples (rank r <= nvars)."""
-    points = [tuple(p) for p in points]
-    base = points[0]
-    diffs = [list(_sub(p, base)) for p in points[1:] if p != base]
-    basis = _lattice_row_basis(diffs)
-    if not basis:
-        return [() for _ in points]
-    coords = []
-    for p in points:
-        coords.append(tuple(_solve_in_lattice_basis(basis, _sub(p, base))))
-    return coords
-
-
-def _lattice_row_basis(rows):
-    """Row echelon basis (over Z) of the lattice generated by the rows.
-
-    Each reduction step replaces an entry of column c by its remainder
-    modulo the smallest nonzero entry, so the sum of the column's absolute
-    values falls by at least one per step; it bounds the steps."""
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return []
-    ncols = len(m[0])
-    r = 0
-    for c in range(ncols):
-        for _ in range(sum(abs(row[c]) for row in m[r:]) + 1):
-            nz = [i for i in range(r, len(m)) if m[i][c]]
-            if len(nz) < 2:
-                break
-            nz.sort(key=lambda i: abs(m[i][c]))
-            i, j = nz[0], nz[1]
-            q = m[j][c] // m[i][c]
-            m[j] = [a - q * b for a, b in zip(m[j], m[i])]
-            if not any(m[j]):
-                m.pop(j)
-        else:
-            raise InternalConsistencyError(f"lattice reduction of column {c} did not terminate")
-        nz = [i for i in range(r, len(m)) if m[i][c]]
-        if not nz:
-            continue
-        i = nz[0]
-        m[r], m[i] = m[i], m[r]
-        if m[r][c] < 0:
-            m[r] = [-a for a in m[r]]
-        r += 1
-        if r == len(m):
-            break
-    return m[:r]
-
-
-def _solve_in_lattice_basis(basis, vector):
-    """Coordinates of `vector` in an echelon lattice basis (exact)."""
-    v = list(vector)
-    coords = [0] * len(basis)
-    for i, row in enumerate(basis):
-        lead = next(j for j, x in enumerate(row) if x)
-        if v[lead] % row[lead]:
-            raise ValueError("vector not in the lattice spanned by the basis")
-        q = v[lead] // row[lead]
-        coords[i] = q
-        v = [a - q * b for a, b in zip(v, row)]
-    if any(v):
-        raise ValueError("vector not in the lattice spanned by the basis")
-    return coords
 
 
 @dataclass(frozen=True)
@@ -646,41 +561,37 @@ def n_inj_hilbert(points):
     """Generic injectivity order of the monomial subspace on exponent set P.
 
     rank W^l is the rank of the evaluation matrix with rows p in P and
-    columns the monomials of degree <= l, entry p^alpha; the order is the
-    least l reaching |P|.  Points are first re-expressed in the sublattice
-    they generate.
+    columns the monomials of degree <= l, entry p^alpha (the Hilbert
+    function of P); the order is the least l reaching |P|.  Neither an
+    injective affine map of P nor the change from m^alpha to the
+    degree-|alpha| polynomial C(m, alpha) alters the degree-<=l span, so
+    the profile is that of C_empty of P translated to its coordinatewise
+    minimum.  The rank rises by at least one per order until it reaches
+    |P|, and reaches it by max |m|.
     """
     pts = [tuple(p) for p in (points.points if isinstance(points, LatticePolytope) else points)]
+    if not pts:
+        raise ValueError("empty point set")
+    if any(len(p) != len(pts[0]) for p in pts):
+        raise ValueError("points of unequal length")
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate points")
-    coords = lattice_coordinates(pts)
     npts = len(pts)
     if npts == 1:
         return HilbertResult(0, (1,))
-    rank = len(coords[0])
+    low = [min(c) for c in zip(*pts)]
+    shifted = [_sub(p, low) for p in pts]
+    top = min(max(map(sum, shifted)), npts - 1)
     profile = []
-    # the rank rises by at least one per order until it reaches |P|, so the
-    # order is at most |P| - 1
-    for l in range(npts):
-        cols = exponents_upto(rank, l)
-        rows = [[_int_power(q, a) for a in cols] for q in coords]
-        r = rank_exact(rows, len(cols))
-        if profile and r <= profile[-1] and r < npts:
+    for r in monomial_prefix_ranks(shifted, top):
+        if profile and r <= profile[-1]:
             raise InternalConsistencyError("Hilbert rank profile failed to increase")
         profile.append(r)
         if r == npts:
-            return HilbertResult(l, tuple(profile))
+            return HilbertResult(len(profile) - 1, tuple(profile))
     raise InternalConsistencyError(
-        f"Hilbert rank of {npts} points did not reach {npts} by order {npts - 1}"
+        f"Hilbert rank of {npts} points did not reach {npts} by order {top}"
     )
-
-
-def _int_power(q, alpha):
-    out = 1
-    for base, e in zip(q, alpha):
-        if e:
-            out *= base ** e
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -798,10 +709,8 @@ def n_surj_toric(P):
     return edge_stats(P).s
 
 
-def n1_surj_by_face(P, seed=0):
-    """Surjectivity order at the generic point of each codimension-1 orbit.
-
-    Every rank is exact, so `seed` does not change the result."""
+def n1_surj_by_face(P):
+    """Surjectivity order at the generic point of each codimension-1 orbit."""
     _require_smooth(P)
     faces = P.codim1_faces()
     if not faces:
@@ -811,7 +720,7 @@ def n1_surj_by_face(P, seed=0):
     return {face: _face_generic_n_surj(P, face) for face in faces}
 
 
-def n1_surj_toric(P, seed=0):
+def n1_surj_toric(P):
     """Largest n with the order-<=n Taylor maps surjective in codimension 1:
     the minimum over codimension-1 faces of the surjectivity order at the
     generic point of the face's orbit.
@@ -821,7 +730,7 @@ def n1_surj_toric(P, seed=0):
     function field of the orbit has the column-prefix ranks of the integer
     matrix C_Z with Z the transverse coordinates (`jets.binomial_rows`).
     """
-    return min(n1_surj_by_face(P, seed).values())
+    return min(n1_surj_by_face(P).values())
 
 
 def _face_generic_n_surj(P, face):
@@ -831,9 +740,8 @@ def _face_generic_n_surj(P, face):
     transverse = [i for i, d in enumerate(dirs) if d not in face.directions]
     npts = len(P.points)
     top = next(n for n in range(npts + 1) if comb(n + P.nvars, P.nvars) > npts)
-    widths = [comb(n + P.nvars, P.nvars) for n in range(top + 1)]
-    ranks = prefix_ranks(binomial_rows(chart, top, transverse), widths)
-    return next(n for n, (r, w) in enumerate(zip(ranks, widths)) if r < w) - 1
+    ranks = monomial_prefix_ranks(chart, top, transverse)
+    return next(n for n, r in enumerate(ranks) if r < comb(n + P.nvars, P.nvars)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +778,7 @@ class ToricReport:
         }
 
 
-def toric_report(P, seed=0, with_orders=True, very_ample_bound=10):
+def toric_report(P, with_orders=True, very_ample_bound=10):
     """Full invariant report; orbit orders require the basis condition."""
     smooth = P.smoothness if P.dim == P.nvars else SmoothnessReport(False, ())
     hilbert = n_inj_hilbert(P.points)
@@ -885,7 +793,7 @@ def toric_report(P, seed=0, with_orders=True, very_ample_bound=10):
         faces = tuple(sorted(face_orders))
         ns = n_surj_toric(P)
         try:
-            n1 = n1_surj_toric(P, seed=seed)
+            n1 = n1_surj_toric(P)
         except UnsupportedPolytopeError:
             n1 = None  # explicit-data polytopes above rank 3 carry no facet data
     else:

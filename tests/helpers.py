@@ -6,9 +6,23 @@ from math import comb
 
 from jetorders.algebra import Polynomial, exponents_upto, falling_factorial, poly_divexact
 from jetorders.diffops import weight_window
-from jetorders.jets import GENERIC, DependentBasisError, SubspaceV, generic_rank, jet_matrix
+from jetorders.jets import (
+    GENERIC,
+    DependentBasisError,
+    InternalConsistencyError,
+    SubspaceV,
+    generic_rank,
+    jet_matrix,
+)
 from jetorders.linalg import nullspace, rank_exact
-from jetorders.toric import polytope_build, vertex_chart
+from jetorders.toric import (
+    HilbertResult,
+    LatticePolytope,
+    _primitive,
+    _sub,
+    polytope_build,
+    vertex_chart,
+)
 from jetorders.verify import hirzebruch_points
 
 
@@ -177,6 +191,154 @@ def oracle_face_n_surj(P, face):
         if generic_rank(rows).value < comb(n + P.nvars, P.nvars):
             return n - 1
     raise AssertionError("order-|P| Taylor map cannot be surjective")
+
+
+def oracle_d_gonal(P):
+    """Reference maximum number of collinear lattice points: one Fraction
+    line anchor per pair of points and a scan of all points per new line."""
+    pts = P.points if isinstance(P, LatticePolytope) else tuple(sorted(set(map(tuple, P))))
+    if len(pts) <= 1:
+        return len(pts)
+    best = 1
+    seen = set()
+    for a, b in itertools.combinations(pts, 2):
+        d, _ = _primitive(_sub(b, a))
+        anchor = min(_line_anchor(a, d), _line_anchor(b, d))
+        key = (d, anchor)
+        if key in seen:
+            continue
+        seen.add(key)
+        count = sum(1 for p in pts if _collinear(a, d, p))
+        best = max(best, count)
+    return best
+
+
+def _line_anchor(p, d):
+    # canonical representative of the line through p with direction d
+    t = None
+    for pi, di in zip(p, d):
+        if di:
+            t = Fraction(pi, di)
+            break
+    return tuple(pi - t * di for pi, di in zip(p, d))
+
+
+def _collinear(a, d, p):
+    v = _sub(p, a)
+    if not any(v):
+        return True
+    pv, _ = _primitive(v)
+    return pv == d or pv == tuple(-x for x in d)
+
+
+def lattice_coordinates(points):
+    """Re-express a point set in a basis of the sublattice its differences
+    generate.  Returns the list of coordinate tuples (rank r <= nvars)."""
+    points = [tuple(p) for p in points]
+    base = points[0]
+    diffs = [list(_sub(p, base)) for p in points[1:] if p != base]
+    basis = _lattice_row_basis(diffs)
+    if not basis:
+        return [() for _ in points]
+    coords = []
+    for p in points:
+        coords.append(tuple(_solve_in_lattice_basis(basis, _sub(p, base))))
+    return coords
+
+
+def _lattice_row_basis(rows):
+    """Row echelon basis (over Z) of the lattice generated by the rows.
+
+    Each reduction step replaces an entry of column c by its remainder
+    modulo the smallest nonzero entry, so the sum of the column's absolute
+    values falls by at least one per step; it bounds the steps."""
+    m = [list(r) for r in rows if any(r)]
+    if not m:
+        return []
+    ncols = len(m[0])
+    r = 0
+    for c in range(ncols):
+        for _ in range(sum(abs(row[c]) for row in m[r:]) + 1):
+            nz = [i for i in range(r, len(m)) if m[i][c]]
+            if len(nz) < 2:
+                break
+            nz.sort(key=lambda i: abs(m[i][c]))
+            i, j = nz[0], nz[1]
+            q = m[j][c] // m[i][c]
+            m[j] = [a - q * b for a, b in zip(m[j], m[i])]
+            if not any(m[j]):
+                m.pop(j)
+        else:
+            raise InternalConsistencyError(f"lattice reduction of column {c} did not terminate")
+        nz = [i for i in range(r, len(m)) if m[i][c]]
+        if not nz:
+            continue
+        i = nz[0]
+        m[r], m[i] = m[i], m[r]
+        if m[r][c] < 0:
+            m[r] = [-a for a in m[r]]
+        r += 1
+        if r == len(m):
+            break
+    return m[:r]
+
+
+def _solve_in_lattice_basis(basis, vector):
+    """Coordinates of `vector` in an echelon lattice basis (exact)."""
+    v = list(vector)
+    coords = [0] * len(basis)
+    for i, row in enumerate(basis):
+        lead = next(j for j, x in enumerate(row) if x)
+        if v[lead] % row[lead]:
+            raise ValueError("vector not in the lattice spanned by the basis")
+        q = v[lead] // row[lead]
+        coords[i] = q
+        v = [a - q * b for a, b in zip(v, row)]
+    if any(v):
+        raise ValueError("vector not in the lattice spanned by the basis")
+    return coords
+
+
+def oracle_hilbert(points):
+    """Reference generic injectivity order of the monomial subspace on
+    exponent set P, one evaluation matrix and one rank per order.
+
+    rank W^l is the rank of the evaluation matrix with rows p in P and
+    columns the monomials of degree <= l, entry p^alpha; the order is the
+    least l reaching |P|.  Points are first re-expressed in the sublattice
+    they generate.
+    """
+    pts = [tuple(p) for p in (points.points if isinstance(points, LatticePolytope) else points)]
+    if len(set(pts)) != len(pts):
+        raise ValueError("duplicate points")
+    coords = lattice_coordinates(pts)
+    npts = len(pts)
+    if npts == 1:
+        return HilbertResult(0, (1,))
+    rank = len(coords[0])
+    profile = []
+    # the rank rises by at least one per order until it reaches |P|, so the
+    # order is at most |P| - 1
+    for l in range(npts):
+        cols = exponents_upto(rank, l)
+        rows = [[_int_power(q, a) for a in cols] for q in coords]
+        r = rank_exact(rows, len(cols))
+        if profile and r <= profile[-1] and r < npts:
+            raise InternalConsistencyError("Hilbert rank profile failed to increase")
+        profile.append(r)
+        if r == npts:
+            return HilbertResult(l, tuple(profile))
+    raise InternalConsistencyError(
+        f"Hilbert rank of {npts} points did not reach {npts} by order {npts - 1}"
+    )
+
+
+def _int_power(q, alpha):
+    out = 1
+    for base, e in zip(q, alpha):
+        if e:
+            out *= base ** e
+    return out
 
 
 def rational_point(rng, nvars, nonzero=True):

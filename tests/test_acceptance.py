@@ -68,7 +68,7 @@ def test_criterion_1_veronese_suite():
             assert n_inj_hilbert(P.points).order == m, (n, m)
             assert n_inj_max(P) == m, (n, m)
             assert n_surj_toric(P) == m, (n, m)
-            assert n1_surj_toric(P, seed=0) == m, (n, m)
+            assert n1_surj_toric(P) == m, (n, m)
             V = SubspaceV.from_monomials(n, pts)
             rng = random.Random(1000 + 10 * n + m)
             points = [rational_point(rng, n, nonzero=rng.random() < 0.7) for _ in range(10)]
@@ -84,7 +84,7 @@ def test_criterion_2_hirzebruch_suite():
             assert n_inj_hilbert(P.points).order == k, (r, k, l)
             assert n_inj_max(P) == k + l, (r, k, l)
             assert n_surj_toric(P) == min(l, k - l * r), (r, k, l)
-            assert n1_surj_toric(P, seed=0) == min(l, k - l * r), (r, k, l)
+            assert n1_surj_toric(P) == min(l, k - l * r), (r, k, l)
             vertex_orders = sorted(
                 n_inj_at(chart_subspace(P, v), (F(0), F(0)), seed=0, generic_order=k).n_inj
                 for v in P.vertices
@@ -174,13 +174,13 @@ def test_criterion_6_annihilator_vanishing():
     with criterion(6, "annihilator slices vanish up to n1_surj"):
         for n, m in VERONESE_CASES:
             pts = exponents_upto(n, m)
-            n1 = n1_surj_toric(polytope_build(points=pts), seed=0)
+            n1 = n1_surj_toric(polytope_build(points=pts))
             for w in weight_window(pts):
                 for order in range(n1 + 1):
                     assert annihilator_weight_dim(pts, w, order) == 0, (n, m, w, order)
         for r, k, l in HIRZEBRUCH_CASES:
             pts = hirzebruch_points(r, k, l)
-            n1 = n1_surj_toric(polytope_build(points=pts), seed=0)
+            n1 = n1_surj_toric(polytope_build(points=pts))
             for w in weight_window(pts):
                 for order in range(n1 + 1):
                     assert annihilator_weight_dim(pts, w, order) == 0, (r, k, l, w, order)

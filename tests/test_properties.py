@@ -6,6 +6,8 @@ from math import comb
 
 from helpers import (
     evaluation_image_dense_rank,
+    oracle_d_gonal,
+    oracle_hilbert,
     random_monomial_subspace,
     random_point_set,
     random_smooth_polytope,
@@ -13,6 +15,7 @@ from helpers import (
     rational_point,
 )
 from jetorders.algebra import exponents_upto
+from jetorders.linalg import det_exact, rank_exact
 from jetorders.diffops import (
     annihilator_weight_dim,
     check_irreducible,
@@ -94,6 +97,50 @@ def test_d_gonal_lower_bound():
     for _ in range(60):
         pts = random_point_set(rng, nvars=rng.choice((1, 2)), box=4)
         assert d_gonal(pts) - 1 <= n_inj_hilbert(pts).order
+
+
+def _transformed_point_set(rng, kind, nvars):
+    """A random point set of one kind: in a box at the origin, translated
+    far from it, with negative coordinates, on a proper sublattice (a
+    full-rank integer image of |det| > 1, or a rank-2 image in 3-space), or
+    collinear."""
+    if kind == "collinear":
+        d = [0] * nvars
+        while not any(d):
+            d = [rng.randint(-3, 3) for _ in range(nvars)]
+        base = [rng.randint(-50, 50) for _ in range(nvars)]
+        steps = rng.sample(range(-6, 7), rng.randint(2, 6))
+        return [tuple(b + t * x for b, x in zip(base, d)) for t in steps]
+    if kind == "embedded":
+        # a planar set on a rank-2 sublattice of Z^3
+        rows = [[0, 0]]
+        while rank_exact(rows, 2) < 2:
+            rows = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(3)]
+        return [tuple(a * p[0] + b * p[1] for a, b in rows)
+                for p in random_point_set(rng, nvars=2, box=3, max_size=7)]
+    pts = random_point_set(rng, nvars=nvars, box=3, max_size=7)
+    if kind == "translated":
+        shift = [rng.randint(10 ** 6, 10 ** 9) * rng.choice((-1, 1)) for _ in range(nvars)]
+        return [tuple(x + s for x, s in zip(p, shift)) for p in pts]
+    if kind == "negative":
+        signs = [rng.choice((-1, 1)) for _ in range(nvars)]
+        return [tuple(s * x - 2 for x, s in zip(p, signs)) for p in pts]
+    if kind == "sublattice":
+        m = [[0] * nvars for _ in range(nvars)]
+        while abs(det_exact(m)) < 2:
+            m = [[rng.randint(-3, 3) for _ in range(nvars)] for _ in range(nvars)]
+        return [tuple(sum(a * x for a, x in zip(row, p)) for row in m) for p in pts]
+    return pts
+
+
+def test_hilbert_and_d_gonal_match_lattice_oracles():
+    rng = random.Random(29)
+    kinds = ("box", "translated", "negative", "sublattice", "embedded", "collinear")
+    for i in range(180):
+        kind = kinds[i % len(kinds)]
+        pts = _transformed_point_set(rng, kind, rng.choice((1, 2, 3)))
+        assert n_inj_hilbert(pts) == oracle_hilbert(pts), (kind, pts)
+        assert d_gonal(pts) == oracle_d_gonal(pts), (kind, pts)
 
 
 def test_minors_cut_out_exactly_the_weierstrass_points():

@@ -109,6 +109,10 @@ def test_n_inj_hilbert():
     assert res.order == 2
     assert res.profile == (1, 2, 3)
     assert n_inj_hilbert([(0, 2)]).order == 0
+    with pytest.raises(ValueError, match="empty"):
+        n_inj_hilbert([])
+    with pytest.raises(ValueError, match="unequal length"):
+        n_inj_hilbert([(1, 2), (3,)])
 
 
 def test_n_inj_hilbert_sublattice_reduction():
@@ -289,27 +293,60 @@ def test_toric_report_builds_one_chart_per_vertex(monkeypatch):
 
 
 def test_n_inj_hilbert_raises_instead_of_looping(monkeypatch):
+    from jetorders import jets
     from jetorders.jets import InternalConsistencyError
 
     points = simplex(2).points
     assert issubclass(InternalConsistencyError, RuntimeError)
     # a rank that stops rising below |P|
-    monkeypatch.setattr(toric, "rank_exact", lambda rows, ncols=None: 2)
+    monkeypatch.setattr(jets, "prefix_ranks", lambda rows, widths: [2] * len(widths))
     with pytest.raises(InternalConsistencyError, match="failed to increase"):
         n_inj_hilbert(points)
-    # a rank that keeps rising without ever meeting |P| stops at order |P| - 1
-    monkeypatch.setattr(toric, "rank_exact", lambda rows, ncols=None: len(points) + ncols)
-    with pytest.raises(InternalConsistencyError, match=f"by order {len(points) - 1}"):
+    # a rank that keeps rising without ever meeting |P| stops at the last
+    # order of the profile, min(max |m|, |P| - 1) = 2
+    monkeypatch.setattr(jets, "prefix_ranks",
+                        lambda rows, widths: [len(points) + w for w in widths])
+    with pytest.raises(InternalConsistencyError, match="by order 2"):
         n_inj_hilbert(points)
+
+
+def test_toric_report_ranks_no_hilbert_evaluation_matrix(monkeypatch):
+    from jetorders import jets, linalg
+
+    calls = Counter()
+    inside = []
+    original_hilbert = toric.n_inj_hilbert
+
+    def counted_hilbert(points):
+        calls["n_inj_hilbert"] += 1
+        inside.append(True)
+        try:
+            return original_hilbert(points)
+        finally:
+            inside.pop()
+
+    def counted_rank(rows, ncols=None, _original=linalg.rank_exact):
+        calls["rank_exact inside n_inj_hilbert" if inside else "rank_exact"] += 1
+        return _original(rows, ncols)
+
+    monkeypatch.setattr(toric, "n_inj_hilbert", counted_hilbert)
+    for module in (toric, jets, linalg):
+        monkeypatch.setattr(module, "rank_exact", counted_rank)
+    rep = toric_report(simplex(4, n=3))
+    assert rep.n_inj_generic == 4 and rep.n_inj_max == 4
+    assert calls["n_inj_hilbert"] > 1  # the whole polytope and the slices of its faces
+    assert calls["rank_exact inside n_inj_hilbert"] == 0
 
 
 def test_lattice_row_basis_on_fibonacci_column():
+    from helpers import _lattice_row_basis
+
     # consecutive Fibonacci numbers make the Euclidean reduction longest
     fib = [0, 1]
     while len(fib) < 31:
         fib.append(fib[-1] + fib[-2])
-    assert toric._lattice_row_basis([[fib[30]], [fib[29]]]) == [[1]]
-    basis = toric._lattice_row_basis([[fib[30], 1], [fib[29], 0]])
+    assert _lattice_row_basis([[fib[30]], [fib[29]]]) == [[1]]
+    basis = _lattice_row_basis([[fib[30], 1], [fib[29], 0]])
     assert [row[0] for row in basis] == [1, 0]
     # the lattice keeps its index |det| = F_29
     assert basis[1][1] == fib[29]
