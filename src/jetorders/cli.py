@@ -1,8 +1,9 @@
 """Batch front-end: parse space/polytope files, dispatch, emit reports.
 
 Exit codes: 0 success, 1 verification failure, 2 input error.  Reports are
-deterministic for identical inputs and seed; rationals are serialized as
-"p/q" strings so no floating point appears anywhere.
+deterministic for identical inputs and seed; the seed picks only the sample
+points of `verify`, the other commands echo it.  Rationals are serialized
+as "p/q" strings so no floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -251,10 +252,9 @@ def _cmd_orders(args):
     if args.generic == (args.at is not None):
         _fail("E_SCHEMA", "give exactly one of --at or --generic")
     if args.generic:
-        rep = n_inj_at(V, GENERIC, seed=seed)
+        rep = n_inj_at(V, GENERIC)
     else:
-        point = _parse_point(args.at, V.nvars)
-        rep = n_inj_at(V, point, seed=seed)
+        rep = n_inj_at(V, _parse_point(args.at, V.nvars))
     out = _report_envelope("orders", seed, json.loads(serialize_space(V)),
                            rep.to_dict(), [rep.method])
     _emit(args, out)
@@ -273,7 +273,7 @@ def _cmd_scan(args):
         if len(p) != V.nvars:
             _fail("E_DIM", f"point {p!r} does not have {V.nvars} coordinates")
         points.append(tuple(_parse_rational_entry(c) for c in p))
-    reports = weierstrass_scan(V, points, seed=seed)
+    reports = weierstrass_scan(V, points)
     out = _report_envelope("scan", seed, json.loads(serialize_space(V)),
                            [r.to_dict() for r in reports],
                            sorted({r.method for r in reports}))
@@ -286,7 +286,7 @@ def _cmd_minors(args):
     seed = _resolve_seed(args, doc)
     if args.cap < 0:
         _fail("E_SCHEMA", "--cap must be >= 0")
-    rep = weierstrass_minors(V, seed=seed, cap=args.cap)
+    rep = weierstrass_minors(V, cap=args.cap)
     result = {
         "order": rep.order,
         "total": rep.total,
@@ -385,7 +385,8 @@ def build_parser():
         if space:
             p.add_argument("--space", required=True, help="space document (JSON)")
         p.add_argument("--seed", type=int, default=None,
-                       help=f"PRNG seed (default: ${SEED_ENV_VAR} or 0)")
+                       help=f"echoed in the report; the result does not depend on it "
+                            f"(default: ${SEED_ENV_VAR} or 0)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("orders", help="injectivity/jet orders at a point or generically")
@@ -430,7 +431,8 @@ def build_parser():
     ph.add_argument("--k", type=int, required=True)
     ph.add_argument("--l", type=int, required=True)
     for px in (pv, ph):
-        px.add_argument("--seed", type=int, default=None)
+        px.add_argument("--seed", type=int, default=None,
+                        help=f"PRNG seed of the sample points (default: ${SEED_ENV_VAR} or 0)")
         px.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
     pv.set_defaults(func=_cmd_verify)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
     DifferentialOperator,
@@ -165,30 +164,29 @@ def preserving_operators_truncated(V, order, coeff_degree):
     space of that finite slice, together with the rank of its image in
     End(V).  For monomial V and a large enough truncation this agrees with
     the weight-graded computation.
+
+    The action rows give every coefficient of op(p_j), the residual rows
+    its part off span(V); their kernels are nested, so the image of the
+    kernel K in End(V) has dimension rank(action) - rank(residual).
     """
     nvars = V.nvars
     alphas = exponents_upto(nvars, order)
     betas = exponents_upto(nvars, coeff_degree)
     columns = [(b, a) for b in betas for a in alphas]
 
-    # constraints: for each basis element, the residual of its image off
-    # span(V) must vanish coordinate by coordinate
-    constraints = {}
+    action = {}
+    residual = {}
     for k, (b, a) in enumerate(columns):
         term = DifferentialOperator.term(b, a, 1, nvars)
         for j, p in enumerate(V.basis):
-            for e, value in _residual_terms(V, op_apply(term, p)).items():
-                constraints.setdefault((j, e), [Fraction(0)] * len(columns))[k] += value
-    kernel = nullspace(list(constraints.values()), len(columns))
-
-    ops = []
-    for vec in kernel:
-        terms = {key: c for key, c in zip(columns, vec) if c}
-        ops.append(DifferentialOperator(nvars, terms))
-
-    flat = [[e for row in operator_matrix(op, V) for e in row] for op in ops]
-    rank = rank_exact(flat, V.dim ** 2) if flat else 0
-    return ops, rank
+            image = op_apply(term, p)
+            for e, value in image.items():
+                action.setdefault((j, e), [0] * len(columns))[k] += value
+            for e, value in _residual_terms(V, image).items():
+                residual.setdefault((j, e), [0] * len(columns))[k] += value
+    ops = [DifferentialOperator(nvars, {key: c for key, c in zip(columns, vec) if c})
+           for vec in nullspace(list(residual.values()), len(columns))]
+    return ops, rank_exact(list(action.values()), len(columns)) - (len(columns) - len(ops))
 
 
 def _residual_terms(V, poly):

@@ -22,13 +22,19 @@ the jet matrix J(a) = C T(a) at a point a, where T(a)[m, alpha] =
 C(m, alpha) a^(m - alpha) (`SubspaceV.taylor_terms`).  At a rational point
 one elimination of J(a) gives the exact profile.  At the generic point the
 profile is certified by evaluation (`_certified_ranks`): the prefix ranks
-of J(a) at a seeded integer point are lower bounds; the prefix ranks of
-the columns' coefficient vectors over Q are upper bounds; where the two
+of J(a) at a fixed first integer point are lower bounds; the prefix ranks
+of the columns' coefficient vectors over Q are upper bounds; where the two
 still differ, a grid S_1 x ... x S_k with |S_i| > d_i, d_i bounding
 deg_{x_i} of the minors of the next size, finds a point where such a minor
 does not vanish or proves that all of them vanish (Alon, Combinatorial
 Nullstellensatz, 1999; Schwartz 1980).  Past `GRID_POINT_BUDGET` grid
 points the best lower bounds are reported with certified = False.
+
+The generic profile is one value per subspace (`SubspaceV.generic_report`),
+computed once and only up to order dim - 1: at the generic point the rank
+rises at every order until it reaches dim, so it reaches dim by that order.
+Every point report measures its Weierstrass order against it.  No function
+here takes a seed.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from .algebra import (
 )
 from .linalg import SpanChecker, _as_integer_rows, det_exact, prefix_ranks, rank_exact
 
-#: grid points one generic rank may evaluate after its seeded point; past
+#: grid points one generic rank may evaluate after its first point; past
 #: it the best lower bounds are reported uncertified
 GRID_POINT_BUDGET = 1000
 
@@ -86,7 +92,7 @@ class SubspaceV:
     recorded in `monomial_points`, which unlocks the lattice-point methods.
     """
 
-    def __init__(self, nvars, basis, monomial_points=None):
+    def __init__(self, nvars, basis):
         basis = tuple(basis)
         if not basis:
             raise ValueError("empty basis")
@@ -98,28 +104,21 @@ class SubspaceV:
         self.nvars = int(nvars)
         self.basis = basis
 
-        detected = [p.monomial_exponent for p in basis]
-        if monomial_points is not None:
-            monomial_points = tuple(tuple(m) for m in monomial_points)
-            if list(monomial_points) != detected:
-                raise ValueError("monomial_points do not match the basis")
-        elif all(m is not None for m in detected):
-            monomial_points = tuple(detected)
-        if monomial_points is not None and len(set(monomial_points)) != len(monomial_points):
-            raise DependentBasisError("duplicate monomial in basis")
-        self.monomial_points = monomial_points
-
-        if monomial_points is None and self.span.rank != len(basis):
+        detected = tuple(p.monomial_exponent for p in basis)
+        self.monomial_points = detected if None not in detected else None
+        if self.is_monomial:
+            if len(set(detected)) != len(detected):
+                raise DependentBasisError("duplicate monomial in basis")
+        elif self.span.rank != len(basis):
             raise DependentBasisError("basis is linearly dependent over Q")
 
         self.max_degree = max(int(p.degree) for p in basis)
-        self._generic_cache = {}
 
     @classmethod
     def from_monomials(cls, nvars, exponents):
         exponents = [tuple(e) for e in exponents]
         basis = [Polynomial.monomial(e, 1, nvars) for e in exponents]
-        return cls(nvars, basis, monomial_points=exponents)
+        return cls(nvars, basis)
 
     @property
     def dim(self):
@@ -175,10 +174,11 @@ class SubspaceV:
                                       c * binomial_product(m, alpha)))
         return terms
 
-    def generic_report(self, seed=0):
-        if seed not in self._generic_cache:
-            self._generic_cache[seed] = n_inj_at(self, GENERIC, seed=seed)
-        return self._generic_cache[seed]
+    @cached_property
+    def generic_report(self):
+        """The OrderReport of V at the generic point, computed once."""
+        ranks, method, certified = _profile(self, GENERIC)
+        return _order_report(self, GENERIC, ranks, method, certified, len(ranks) - 1)
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,6 @@ class JetMatrix:
     point: object  # tuple of Fractions, or GENERIC
     columns: tuple  # exponent tuples, (degree, lex) order
     entries: tuple  # tuple of row tuples; Fraction (at a point) or Polynomial
-    monomial_points: tuple | None = None
 
     @property
     def nrows(self):
@@ -198,10 +197,6 @@ class JetMatrix:
     @property
     def ncols(self):
         return len(self.columns)
-
-    def transpose(self):
-        rows = tuple(zip(*self.entries)) if self.entries else ()
-        return JetMatrix(self.order, self.point, self.columns, rows, None)
 
 
 def jet_matrix(V, n, at=GENERIC):
@@ -242,8 +237,7 @@ def jet_matrix(V, n, at=GENERIC):
                 entry = d * Fraction(1, multi_factorial(alpha))
                 row.append(entry if symbolic else entry(at))
         rows.append(tuple(row))
-    return JetMatrix(n, GENERIC if symbolic else at, tuple(cols), tuple(rows),
-                     V.monomial_points)
+    return JetMatrix(n, GENERIC if symbolic else at, tuple(cols), tuple(rows))
 
 
 def _exact_point(V, at):
@@ -280,9 +274,9 @@ def monomial_prefix_ranks(points, top, zeros=()):
     return prefix_ranks(binomial_rows(points, top, zeros), widths)
 
 
-def _dense_jet_rows(V, point):
-    """An integer matrix with the column prefix ranks of V's order-max_degree
-    jet matrix at the rational point a = (p_1/q_1, ...).
+def _dense_jet_rows(V, point, ncols):
+    """An integer matrix with the column prefix ranks of the first `ncols`
+    columns of V's jet matrix at the rational point a = (p_1/q_1, ...).
 
     J(a) = C T(a) is summed from `V.taylor_terms`; every entry is scaled by
     the constant prod_i q_i^max_degree, so a^e becomes
@@ -292,25 +286,28 @@ def _dense_jet_rows(V, point):
     for c in point:
         num, den = c.numerator, c.denominator
         powers.append([num ** e * den ** (top - e) for e in range(top + 1)])
-    rows = [[0] * comb(top + V.nvars, V.nvars) for _ in range(V.dim)]
+    rows = [[0] * ncols for _ in range(V.dim)]
     for i, j, e, c in V.taylor_terms:
-        for table, k in zip(powers, e):
-            c *= table[k]
-        rows[i][j] += c
+        if j < ncols:
+            for table, k in zip(powers, e):
+                c *= table[k]
+            rows[i][j] += c
     return rows
 
 
 def _column_bounds(terms, widths):
     """Ranks over Q of the coefficient vectors of the leading columns of a
     polynomial matrix given by its terms (row i, column j, exponent e,
-    coefficient c): the vector of column j has c in row (i, e).
+    coefficient c): the vector of column j has c in row (i, e).  Terms of
+    columns past the last width are skipped.
 
     Over Q(x) a set of polynomial columns has rank at most the Q-rank of
     their coefficient vectors.  For the jet matrix (`SubspaceV.taylor_terms`)
     column alpha has the coefficient c_{i, e + alpha} C(e + alpha, alpha)."""
     rows = {}
     for i, j, e, c in terms:
-        rows.setdefault((i, e), [0] * widths[-1])[j] += c
+        if j < widths[-1]:
+            rows.setdefault((i, e), [0] * widths[-1])[j] += c
     return prefix_ranks(list(rows.values()), widths)
 
 
@@ -390,14 +387,15 @@ def _monomial_scaling_rank(rows):
     return RankResult(rank_exact(coeffs, ncols), "monomial-scaling", True)
 
 
-def _certified_ranks(evaluate, widths, nrows, column_bounds, row_degrees, seed):
+def _certified_ranks(evaluate, widths, nrows, column_bounds, row_degrees):
     """Ranks over the rational function field of the leading column blocks
     (widths `widths`) of an `nrows`-row polynomial matrix, from evaluations.
 
     `evaluate(point)` gives the block ranks at an integer point, which are
     lower bounds; `column_bounds()` gives upper bounds, asked for only when
     min(nrows, width) does not already meet the lower bound.  The first
-    point is seeded.  A block whose bounds still differ gets a grid
+    point is drawn from `random.Random(0)`; a certified rank does not
+    depend on it.  A block whose bounds still differ gets a grid
     S_1 x ... x S_k, S_i = {0, ..., d_i}, where d_i is the sum of the s
     largest `row_degrees` in x_i and s is one more than its lower bound:
     every s-minor has deg_{x_i} <= d_i, so either a grid point raises the
@@ -407,7 +405,7 @@ def _certified_ranks(evaluate, widths, nrows, column_bounds, row_degrees, seed):
     Returns (ranks, certified); uncertified ranks are the best lower bounds
     after `GRID_POINT_BUDGET` grid points."""
     full = min(nrows, widths[-1])
-    rng = random.Random(seed)
+    rng = random.Random(0)
     nvars = len(row_degrees[0])
     lower = evaluate(tuple(rng.randint(1, 100) * rng.choice((-1, 1)) for _ in range(nvars)))
     upper = [min(nrows, w) for w in widths]
@@ -450,7 +448,7 @@ def _polynomial_degrees(polys, nvars):
                  for i in range(nvars))
 
 
-def generic_rank(rows, seed=0):
+def generic_rank(rows):
     """Rank of a matrix of polynomials over the rational function field.
 
     A scaling reduction for decomposable monomial matrices (jet matrices
@@ -474,14 +472,8 @@ def generic_rank(rows, seed=0):
              for e, c in p.items()]
     ranks, certified = _certified_ranks(
         evaluate, [ncols], nrows, lambda: _column_bounds(terms, [ncols]),
-        [_polynomial_degrees(row, nvars) for row in rows], seed)
+        [_polynomial_degrees(row, nvars) for row in rows])
     return RankResult(ranks[0], "evaluation", certified)
-
-
-def rank_of_jet_matrix(J, seed=0):
-    if J.point is GENERIC:
-        return generic_rank(J.entries, seed)
-    return RankResult(rank_exact(J.entries), "exact", True)
 
 
 # ---------------------------------------------------------------------------
@@ -526,16 +518,18 @@ def _zero_pattern(point):
     return tuple(i for i, c in enumerate(point) if c == 0)
 
 
-def _profile(V, at, seed):
+def _profile(V, at):
     """Rank profile r_0 <= r_1 <= ... up to the first full-rank order, the
     rank method that produced it and whether it is certified (`at` is
     GENERIC or an exact point).
 
-    Every profile is read off the column prefix ranks of order-max_degree
-    integer matrices: C_Z for monomial V, J(a) = C T(a) for dense V at a
+    Every profile is read off the column prefix ranks of integer matrices
+    up to order `top`: C_Z for monomial V, J(a) = C T(a) for dense V at a
     point, and at the generic point J(a) at the integer points that
-    `_certified_ranks` evaluates."""
-    top = V.max_degree
+    `_certified_ranks` evaluates.  At a point the rank may stall, so `top`
+    is max_degree; at the generic point it rises at every order until it
+    reaches dim, so `top` is at most dim - 1."""
+    top = V.max_degree if at is not GENERIC else min(V.max_degree, V.dim - 1)
     widths = [comb(n + V.nvars, V.nvars) for n in range(top + 1)]
     certified = True
     if V.is_monomial:
@@ -543,13 +537,13 @@ def _profile(V, at, seed):
         ranks = monomial_prefix_ranks(V.monomial_points, top, zeros)
         method = "monomial-scaling" if at is GENERIC else "exact"
     elif at is not GENERIC:
-        ranks = prefix_ranks(_dense_jet_rows(V, at), widths)
+        ranks = prefix_ranks(_dense_jet_rows(V, at, widths[-1]), widths)
         method = "exact"
     else:
         ranks, certified = _certified_ranks(
-            lambda point: prefix_ranks(_dense_jet_rows(V, point), widths), widths, V.dim,
-            lambda: _column_bounds(V.taylor_terms, widths),
-            [_polynomial_degrees([p], V.nvars) for p in V.basis], seed)
+            lambda point: prefix_ranks(_dense_jet_rows(V, point, widths[-1]), widths),
+            widths, V.dim, lambda: _column_bounds(V.taylor_terms, widths),
+            [_polynomial_degrees([p], V.nvars) for p in V.basis])
         method = "evaluation"
     if V.dim not in ranks:
         raise InternalConsistencyError(
@@ -559,7 +553,7 @@ def _profile(V, at, seed):
     return tuple(ranks[:ranks.index(V.dim) + 1]), method, certified
 
 
-def _order_report(V, at, ranks, method, certified, generic_order):
+def _order_report(V, at, ranks, method, certified, n_inj_generic):
     n_inj = len(ranks) - 1
     gaps = tuple(i for i in range(1, len(ranks)) if ranks[i] > ranks[i - 1])
 
@@ -570,49 +564,42 @@ def _order_report(V, at, ranks, method, certified, generic_order):
         else:
             break
 
-    if at is GENERIC:
-        generic_order = n_inj
     return OrderReport(
         point=at,
         n_inj=n_inj,
         n_surj=n_surj,
         gap_sequence=gaps,
         rank_profile=ranks,
-        weierstrass_order=n_inj - generic_order - 1,
-        n_inj_generic=generic_order,
+        weierstrass_order=n_inj - n_inj_generic - 1,
+        n_inj_generic=n_inj_generic,
         dim=V.dim,
         method=method,
         certified=certified,
     )
 
 
-def n_inj_at(V, at=GENERIC, seed=0, generic_order=None):
+def n_inj_at(V, at=GENERIC):
     """Smallest n making the order-n Taylor map of V injective at `at`.
 
     Returns the full OrderReport (rank profile, gap sequence, jet order and
-    Weierstrass order against the generic injectivity order).  A report at
-    a point is certified only when the generic profile it is measured
-    against is too; a `generic_order` passed in is taken as exact.
+    Weierstrass order against the generic injectivity order): at GENERIC
+    the cached `V.generic_report`, at a point its `weierstrass_scan` report.
     """
-    if at is not GENERIC:
-        at = _exact_point(V, at)
-    ranks, method, certified = _profile(V, at, seed)
-    if at is not GENERIC and generic_order is None:
-        generic = V.generic_report(seed)
-        generic_order, certified = generic.n_inj, certified and generic.certified
-    return _order_report(V, at, ranks, method, certified, generic_order)
+    if at is GENERIC:
+        return V.generic_report
+    return weierstrass_scan(V, [at])[0]
 
 
-def n_surj_at(V, at, seed=0):
+def n_surj_at(V, at):
     """Largest n with the Taylor maps of all orders <= n surjective at `at`.
 
     Returns -1 when even the order-0 map fails (every basis element
     vanishes at the point).
     """
-    return n_inj_at(V, at, seed=seed).n_surj
+    return n_inj_at(V, at).n_surj
 
 
-def weierstrass_scan(V, points, seed=0):
+def weierstrass_scan(V, points):
     """Per-point OrderReports with Weierstrass orders against N_inj.
 
     For monomial V the profile depends only on the zero pattern of the
@@ -620,14 +607,14 @@ def weierstrass_scan(V, points, seed=0):
     points with no zero coordinate share the generic profile.  A point's
     report is certified only when the generic profile is too.
     """
-    generic = V.generic_report(seed)
+    generic = V.generic_report
     profiles = {(): (generic.rank_profile, "exact", True)} if V.is_monomial else {}
     reports = []
     for p in points:
         p = _exact_point(V, p)
         key = _zero_pattern(p) if V.is_monomial else p
         if key not in profiles:
-            profiles[key] = _profile(V, p, seed)
+            profiles[key] = _profile(V, p)
         ranks, method, certified = profiles[key]
         reports.append(_order_report(V, p, ranks, method, certified and generic.certified,
                                      generic.n_inj))
@@ -677,7 +664,7 @@ def _det_polynomial(rows):
     return states.get(tuple(range(d)), Polynomial.zero(nvars))
 
 
-def weierstrass_minors(V, seed=0, cap=200):
+def weierstrass_minors(V, cap=200):
     """All nonzero maximal minors of the symbolic jet matrix at the generic
     injectivity order.  Their common zero locus is the set of points of the
     affine chart whose injectivity order exceeds the generic one.
@@ -685,7 +672,7 @@ def weierstrass_minors(V, seed=0, cap=200):
     A minor of a monomial V is the monomial det(C(m, alpha)) x^(sum m -
     sum alpha) over its columns alpha, so no symbolic matrix is built.
     """
-    generic = V.generic_report(seed)
+    generic = V.generic_report
     columns = exponents_upto(V.nvars, generic.n_inj)
     d = V.dim
     total = comb(len(columns), d)

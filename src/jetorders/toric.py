@@ -632,12 +632,9 @@ def vertex_chart(P, vertex, directions=None):
     return chart, tuple(directions)
 
 
-def chart_subspace(P, vertex, directions=None):
-    if directions is None:
-        chart, _ = P.chart(vertex)
-    else:
-        chart, _ = vertex_chart(P, vertex, directions)
-    return SubspaceV.from_monomials(P.nvars, chart)
+def chart_subspace(P, vertex):
+    """The monomial space of P in the chart at `vertex` (`P.chart`)."""
+    return SubspaceV.from_monomials(P.nvars, P.chart(vertex)[0])
 
 
 def n_inj_face(P, face):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb
 
 from jetorders.algebra import Polynomial, exponents_upto, falling_factorial, poly_divexact
-from jetorders.diffops import weight_window
+from jetorders.diffops import operator_matrix, weight_window
 from jetorders.jets import (
     GENERIC,
     DependentBasisError,
@@ -150,6 +150,14 @@ def evaluation_image_dense_rank(V, order):
         if nontrivial:
             flat.append([e for row in matrix for e in row])
     return rank_exact(flat, dim * dim) if flat else 0
+
+
+def oracle_truncated_rank(V, ops):
+    """Reference rank of the image in End(V) of V-preserving operators: the
+    rank of their flattened dim x dim matrices (`operator_matrix`), one row
+    per operator."""
+    flat = [[e for row in operator_matrix(op, V) for e in row] for op in ops]
+    return rank_exact(flat, V.dim ** 2) if flat else 0
 
 
 def oracle_profile(V, at):

@@ -72,7 +72,7 @@ def test_criterion_1_veronese_suite():
             V = SubspaceV.from_monomials(n, pts)
             rng = random.Random(1000 + 10 * n + m)
             points = [rational_point(rng, n, nonzero=rng.random() < 0.7) for _ in range(10)]
-            for rep in weierstrass_scan(V, points, seed=0):
+            for rep in weierstrass_scan(V, points):
                 assert rep.n_inj == m and rep.n_surj == m, (n, m, rep.point)
 
 
@@ -86,7 +86,7 @@ def test_criterion_2_hirzebruch_suite():
             assert n_surj_toric(P) == min(l, k - l * r), (r, k, l)
             assert n1_surj_toric(P) == min(l, k - l * r), (r, k, l)
             vertex_orders = sorted(
-                n_inj_at(chart_subspace(P, v), (F(0), F(0)), seed=0, generic_order=k).n_inj
+                n_inj_at(chart_subspace(P, v), (F(0), F(0))).n_inj
                 for v in P.vertices
             )
             assert vertex_orders == sorted([k, k, k + l, k + l]), (r, k, l)
@@ -103,7 +103,7 @@ def test_criterion_3_oracle_equivalence():
             pts = sorted(rng.sample(universe, rng.randint(2, 8)))
             hilbert = n_inj_hilbert(pts).order
             V = SubspaceV.from_monomials(2, pts)
-            assert V.generic_report(seed=0).n_inj == hilbert, pts
+            assert V.generic_report.n_inj == hilbert, pts
             # third route: deterministic polynomial elimination on the jet matrix
             for n in range(V.max_degree + 1):
                 J = jet_matrix(V, n, GENERIC)
@@ -121,7 +121,7 @@ def test_criterion_4_property_suite():
         # (a) generic bound N_inj <= dim V - 1, monomial and dense bases
         for _ in range(110):
             V = random_subspace(rng)
-            assert V.generic_report().n_inj <= V.dim - 1
+            assert V.generic_report.n_inj <= V.dim - 1
             cases += 1
         # (b) d_gonal(P) - 1 <= N_inj(P)
         for _ in range(110):
@@ -132,7 +132,7 @@ def test_criterion_4_property_suite():
         for _ in range(110):
             V = random_subspace(rng)
             pt = rational_point(rng, V.nvars, nonzero=rng.random() < 0.5)
-            assert n_inj_at(V, pt).n_inj >= V.generic_report().n_inj
+            assert n_inj_at(V, pt).n_inj >= V.generic_report.n_inj
             cases += 1
         # (d) chain n_surj <= n1_surj <= N_inj on smooth polytopes
         for _ in range(60):
@@ -148,7 +148,7 @@ def test_criterion_4_property_suite():
             assert prof[-1] == V.dim
             assert all(prof[i] <= prof[i + 1] for i in range(len(prof) - 1))
             assert len(prof) < 2 or prof[-2] < V.dim
-            gen = V.generic_report().rank_profile
+            gen = V.generic_report.rank_profile
             assert all(gen[i] < gen[i + 1] for i in range(len(gen) - 1))
             cases += 1
         assert cases == 500
@@ -164,7 +164,7 @@ def test_criterion_5_irreducibility():
             V = SubspaceV.from_monomials(nvars, pts)
             # the supremum of n_inj(x) over the affine chart sits at the origin
             origin = (F(0),) * nvars
-            n_inj = n_inj_at(V, origin, seed=0).n_inj
+            n_inj = n_inj_at(V, origin).n_inj
             ranks = [evaluation_image(V, n).rank for n in range(n_inj + 1)]
             assert ranks == sorted(ranks), pts
             assert ranks[-1] == V.dim ** 2, pts
@@ -200,12 +200,12 @@ def test_criterion_7_sl_example():
 def test_criterion_8_weierstrass_detection():
     with criterion(8, "Weierstrass detection: cubic gap and Hirzebruch locus"):
         V = SubspaceV.from_monomials(1, [(0,), (1,), (3,)])
-        generic = V.generic_report(seed=0)
+        generic = V.generic_report
         assert generic.n_inj == 2
-        rep0 = n_inj_at(V, (F(0),), generic_order=2)
+        rep0 = n_inj_at(V, (F(0),))
         assert rep0.n_inj == 3
         assert rep0.rank_profile == (1, 2, 2, 3)
-        minors = weierstrass_minors(V, seed=0)
+        minors = weierstrass_minors(V)
         assert len(minors.minors) == 1
         [minor] = minors.minors
         assert str(minor.normalized()) == "x"  # 3x up to scalar
@@ -216,7 +216,7 @@ def test_criterion_8_weierstrass_detection():
         # oracle identifies the k+l vertices; scan the chart with the
         # transverse-to-long-edge coordinate first
         heavy = [v for v in P.vertices
-                 if n_inj_at(chart_subspace(P, v), (F(0), F(0)), generic_order=k).n_inj == k + l]
+                 if n_inj_at(chart_subspace(P, v), (F(0), F(0))).n_inj == k + l]
         assert sorted(heavy) == [(0, 1), (2, 1)]  # the published table labels these two differently
         vertex = (0, 1)
         dirs = P.vertex_directions(vertex)  # ((0,-1), (1,0)): transverse first
@@ -225,7 +225,7 @@ def test_criterion_8_weierstrass_detection():
         rng = random.Random(88)
         locus = [(F(0), rational_point(rng, 1)[0]) for _ in range(3)]
         others = [rational_point(rng, 2) for _ in range(3)] + [(rational_point(rng, 1)[0], F(0))]
-        reports = weierstrass_scan(Vc, locus + others, seed=0)
+        reports = weierstrass_scan(Vc, locus + others)
         assert [rep.n_inj for rep in reports[:3]] == [k + l] * 3
         assert all(rep.n_inj == k for rep in reports[3:])
         assert all(rep.weierstrass_order == l - 1 for rep in reports[:3])

@@ -262,6 +262,23 @@ def test_seed_from_environment(tmp_path, capsys, monkeypatch):
     assert code == 2
 
 
+def test_seed_does_not_change_jet_results(tmp_path, capsys):
+    # the seed only picks verify's sample points; orders, scan and minors
+    # echo it and give the same result for every seed
+    space = write(tmp_path, "s.json", {"nvars": 2, "polynomials": [
+        {"[0,0]": "1", "[1,0]": "2"}, {"[0,1]": "1", "[2,0]": "-1/3"},
+        {"[1,1]": "1", "[0,2]": "5"}, {"[2,1]": "1", "[0,0]": "7"}]})
+    points = write(tmp_path, "p.json", {"points": [[0, 0], [1, "1/2"], [-3, 2]]})
+    for argv in (("orders", "--generic"), ("scan", "--points", points), ("minors",)):
+        results = []
+        for seed in ("0", "9"):
+            code, out, _ = run_cli(capsys, *argv, "--space", space, "--seed", seed, "--json")
+            doc = json.loads(out)
+            assert code == 0 and doc["seed"] == int(seed)
+            results.append(doc["result"])
+        assert results[0] == results[1], argv
+
+
 def test_seed_from_file(tmp_path, capsys):
     space = write(tmp_path, "s.json", {"nvars": 1, "monomials": [[0], [1]], "seed": 3})
     code, out, _ = run_cli(capsys, "orders", "--space", space, "--generic", "--json")

@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from helpers import evaluation_image_dense_rank, random_monomial_subspace
+from helpers import (
+    evaluation_image_dense_rank,
+    oracle_truncated_rank,
+    random_dense_subspace,
+    random_monomial_subspace,
+)
 from jetorders.algebra import DifferentialOperator, Polynomial, op_apply
 from jetorders.diffops import (
     all_preserve,
@@ -226,3 +231,19 @@ def test_truncated_operators_non_monomial():
     assert rank >= 2  # at least the identity and one non-scalar action
     identity_like = [op for op in ops if op.order == 0]
     assert identity_like  # multiplication by a constant always preserves
+
+
+def test_truncated_image_rank_matches_flat_matrix_oracle():
+    # rank(action rows) - rank(residual rows) against the rank of the
+    # kernel operators' flattened End(V) matrices
+    from jetorders.diffops import preserving_operators_truncated
+
+    rng = random.Random(71)
+    nonzero = 0
+    for _ in range(12):
+        nvars = rng.choice((1, 2))
+        V = random_dense_subspace(rng, nvars, max_dim=3, degree=3 - nvars)
+        ops, rank = preserving_operators_truncated(V, rng.randint(0, 2), rng.randint(0, 2))
+        assert rank == oracle_truncated_rank(V, ops), V.basis
+        nonzero += rank > 0
+    assert nonzero >= 6
