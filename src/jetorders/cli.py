@@ -289,6 +289,7 @@ def _cmd_minors(args):
     rep = weierstrass_minors(V, cap=args.cap)
     result = {
         "order": rep.order,
+        "certified": rep.certified,
         "total": rep.total,
         "truncated": rep.truncated,
         "minors": [str(m) for m in rep.minors],

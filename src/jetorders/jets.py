@@ -35,6 +35,13 @@ computed once and only up to order dim - 1: at the generic point the rank
 rises at every order until it reaches dim, so it reaches dim by that order.
 Every point report measures its Weierstrass order against it.  No function
 here takes a seed.
+
+The Weierstrass minors (`weierstrass_minors`) are the maximal minors of
+the symbolic jet matrix at the generic injectivity order, computed without
+it: a monomial minor is an integer determinant times a monomial, and a
+dense minor is expanded over Z[x] from `SubspaceV.taylor_terms`
+(`_dense_minors`).  No function here calls `jet_matrix`; it stays public,
+and the tests use it as an oracle.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, lcm
 
 from .algebra import (
     Polynomial,
@@ -631,46 +638,95 @@ class MinorsReport:
     minors: tuple  # nonzero maximal minors, as Polynomials
     total: int  # number of maximal minors of the matrix
     truncated: bool
+    certified: bool  # whether `order` is certified (V.generic_report)
 
     def __iter__(self):
         return iter(self.minors)
 
 
-def _det_polynomial(rows):
-    """Determinant of a square polynomial matrix (column DP expansion)."""
-    d = len(rows)
-    nvars = rows[0][0].nvars
-    states = {(): Polynomial.constant(nvars, 1)}
-    for j in range(d):
-        new = {}
-        for used, acc in states.items():
-            used_set = set(used)
-            for i in range(d):
-                if i in used_set:
-                    continue
-                entry = rows[i][j]
-                if entry.is_zero:
-                    continue
-                sign = -1 if sum(1 for u in used if u > i) % 2 else 1
-                term = acc * entry if sign == 1 else acc * (-entry)
-                key = tuple(sorted(used + (i,)))
-                if key in new:
-                    new[key] = new[key] + term
-                else:
-                    new[key] = term
-        states = {k: v for k, v in new.items() if not v.is_zero}
-        if not states:
-            return Polynomial.zero(nvars)
-    return states.get(tuple(range(d)), Polynomial.zero(nvars))
+def _minor_step(states, column):
+    """One column of the Laplace expansion of a minor over Z[x]: each state
+    maps a bitmask of the rows used by the columns so far to its signed
+    partial sum, an integer polynomial {packed exponent: int}.  Zero
+    coefficients and zero states are dropped."""
+    new = {}
+    for used, acc in states.items():
+        for i, entry in enumerate(column):
+            if not entry or used >> i & 1:
+                continue
+            sign = -1 if (used >> (i + 1)).bit_count() % 2 else 1
+            target = new.setdefault(used | 1 << i, {})
+            for e1, c1 in acc.items():
+                c1 *= sign
+                for e2, c2 in entry.items():
+                    e = e1 + e2
+                    target[e] = target.get(e, 0) + c1 * c2
+    out = {}
+    for key, poly in new.items():
+        poly = {e: c for e, c in poly.items() if c}
+        if poly:
+            out[key] = poly
+    return out
+
+
+def _dense_minors(V, order, combos):
+    """The nonzero maximal minors of V's order-`order` jet matrix over the
+    column sets `combos`, in their order, from integers only.
+
+    The entries come from `V.taylor_terms`, whose row i is p_i scaled by
+    the lcm s_i of its denominators, so each minor there is prod s_i times
+    the minor of the jet matrix.  An exponent e is packed into the integer
+    sum_k e_k B^k with B larger than any exponent of a minor, so exponents
+    add as integers.  The column sets come in lex order: the stack holds
+    the DP states of the current set's column prefixes, and a set is
+    expanded only from its first column that differs from the last set's.
+    Once a prefix has no state left, every minor that extends it is zero
+    at the cost of a few empty steps."""
+    d, nvars = V.dim, V.nvars
+    base = d * V.max_degree + 1
+    ncols = comb(order + nvars, nvars)
+    columns = [[{} for _ in range(d)] for _ in range(ncols)]
+    for i, j, e, c in V.taylor_terms:
+        if j < ncols:
+            columns[j][i][sum(k * base ** t for t, k in enumerate(e))] = c
+    scale = 1
+    for p in V.basis:
+        scale *= lcm(*(c.denominator for _, c in p.items()))
+    stack = [{0: {0: 1}}]
+    last = ()
+    minors = []
+    for combo in combos:
+        k = 0
+        while k < len(last) and last[k] == combo[k]:
+            k += 1
+        del stack[k + 1:]
+        for j in combo[k:]:
+            stack.append(_minor_step(stack[-1], columns[j]))
+        last = combo
+        poly = stack[-1].get((1 << d) - 1)
+        if poly:
+            terms = {}
+            for packed, c in poly.items():
+                e = []
+                for _ in range(nvars):
+                    e.append(packed % base)
+                    packed //= base
+                terms[tuple(e)] = Fraction(c, scale)
+            minors.append(Polynomial(nvars, terms))
+    return minors
 
 
 def weierstrass_minors(V, cap=200):
     """All nonzero maximal minors of the symbolic jet matrix at the generic
-    injectivity order.  Their common zero locus is the set of points of the
-    affine chart whose injectivity order exceeds the generic one.
+    injectivity order, the first `cap` column sets in lex order when there
+    are more.  Their common zero locus is the set of points of the affine
+    chart whose injectivity order exceeds the generic one.  `certified`
+    says whether that order is.
 
-    A minor of a monomial V is the monomial det(C(m, alpha)) x^(sum m -
-    sum alpha) over its columns alpha, so no symbolic matrix is built.
+    No symbolic matrix is built.  A minor of a monomial V is the monomial
+    det(C(m, alpha)) x^(sum m - sum alpha) over its columns alpha.  A dense
+    V expands its minors over Z[x] from `SubspaceV.taylor_terms`
+    (`_dense_minors`) and divides by the row scales at the end.
     """
     generic = V.generic_report
     columns = exponents_upto(V.nvars, generic.n_inj)
@@ -680,8 +736,8 @@ def weierstrass_minors(V, cap=200):
     combos = itertools.combinations(range(len(columns)), d)
     if truncated:
         combos = itertools.islice(combos, cap)
-    minors = []
     if V.is_monomial:
+        minors = []
         points = V.monomial_points
         point_sum = [sum(m[i] for m in points) for i in range(V.nvars)]
         for combo in combos:
@@ -691,10 +747,5 @@ def weierstrass_minors(V, cap=200):
                             for i, s in enumerate(point_sum))
                 minors.append(Polynomial.monomial(exp, c, V.nvars))
     else:
-        entries = jet_matrix(V, generic.n_inj, GENERIC).entries
-        for combo in combos:
-            det = _det_polynomial([[row[j] for j in combo] for row in entries])
-            if not det.is_zero:
-                minors.append(det)
-    return MinorsReport(generic.n_inj, tuple(minors), total, truncated)
-
+        minors = _dense_minors(V, generic.n_inj, combos)
+    return MinorsReport(generic.n_inj, tuple(minors), total, truncated, generic.certified)

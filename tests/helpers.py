@@ -61,6 +61,46 @@ def oracle_det(rows):
     return total
 
 
+def oracle_det_polynomial(rows):
+    """Reference determinant of a square matrix of Polynomials, by the
+    column DP expansion in Polynomial arithmetic."""
+    d = len(rows)
+    nvars = rows[0][0].nvars
+    states = {(): Polynomial.constant(nvars, 1)}
+    for j in range(d):
+        new = {}
+        for used, acc in states.items():
+            used_set = set(used)
+            for i in range(d):
+                if i in used_set:
+                    continue
+                entry = rows[i][j]
+                if entry.is_zero:
+                    continue
+                sign = -1 if sum(1 for u in used if u > i) % 2 else 1
+                term = acc * entry if sign == 1 else acc * (-entry)
+                key = tuple(sorted(used + (i,)))
+                if key in new:
+                    new[key] = new[key] + term
+                else:
+                    new[key] = term
+        states = {k: v for k, v in new.items() if not v.is_zero}
+        if not states:
+            return Polynomial.zero(nvars)
+    return states.get(tuple(range(d)), Polynomial.zero(nvars))
+
+
+def oracle_minors(V, order, cap):
+    """The nonzero maximal minors of the symbolic `jet_matrix(V, order)`
+    over its first `cap` column sets in lex order, by
+    `oracle_det_polynomial`."""
+    J = jet_matrix(V, order, GENERIC)
+    combos = itertools.islice(itertools.combinations(range(J.ncols), V.dim), cap)
+    dets = (oracle_det_polynomial([[row[j] for j in combo] for row in J.entries])
+            for combo in combos)
+    return [det for det in dets if not det.is_zero]
+
+
 def rank_symbolic(rows, ncols):
     """Reference rank over the rational function field: deterministic
     fraction-free elimination over the polynomial ring."""

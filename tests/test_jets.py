@@ -144,11 +144,15 @@ def test_generic_profile_of_linear_form_powers_is_certified():
     assert rep.to_dict()["certified"] is True
 
 
-def test_generic_profile_grid_and_budget(monkeypatch):
+def test_generic_profile_grid_and_budget(monkeypatch, tmp_path, capsys):
+    import json
+
     import jetorders.jets as jets
+    from jetorders.cli import main, serialize_space
 
     rep = n_inj_at(_loose_space(), GENERIC)
     assert rep.rank_profile == (1, 2, 3, 4) and rep.certified
+    assert weierstrass_minors(_loose_space(), cap=5).certified
     monkeypatch.setattr(jets, "GRID_POINT_BUDGET", 0)
     rep = n_inj_at(_loose_space(), GENERIC)
     # the seeded point's lower bounds, flagged
@@ -161,6 +165,14 @@ def test_generic_profile_grid_and_budget(monkeypatch):
     assert rep.method == "exact" and not rep.certified
     (rep,) = weierstrass_scan(_loose_space(), [point])
     assert not rep.certified and rep.to_dict()["certified"] is False
+    # so are the minors taken at that order
+    minors = weierstrass_minors(_loose_space(), cap=5)
+    assert minors.order == 3 and not minors.certified
+    space = tmp_path / "loose.json"
+    space.write_text(serialize_space(_loose_space()))
+    assert main(["minors", "--space", str(space), "--cap", "5", "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["order"] == 3 and result["certified"] is False
 
 
 def test_grid_rebuilt_when_a_point_raises_the_rank_by_two():
@@ -263,25 +275,33 @@ def test_weierstrass_minors_truncation_flag():
 def test_minor_fast_path_matches_general_determinant():
     # the monomial factorization (integer det times a monomial) must agree
     # with the subset-DP polynomial determinant entry for entry
-    from jetorders.jets import _det_polynomial, jet_matrix
-    import itertools
+    from helpers import oracle_minors, random_monomial_subspace
 
     rng = random.Random(12)
     for _ in range(6):
-        from helpers import random_monomial_subspace
-
         V = random_monomial_subspace(rng, max_size=4, box=3)
         fast = weierstrass_minors(V, cap=100)
-        J = jet_matrix(V, fast.order, GENERIC)
-        combos = itertools.combinations(range(J.ncols), V.dim)
-        if fast.truncated:
-            combos = itertools.islice(combos, 100)
-        slow = []
-        for combo in combos:
-            det = _det_polynomial([[row[j] for j in combo] for row in J.entries])
-            if not det.is_zero:
-                slow.append(det)
-        assert list(fast.minors) == slow
+        assert list(fast.minors) == oracle_minors(V, fast.order, 100)
+
+
+def test_dense_minors_build_no_symbolic_matrix(monkeypatch):
+    # a dense V expands its minors over Z[x] from its Taylor terms
+    import jetorders.jets as jets
+
+    V = _loose_space()
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(jets, "jet_matrix", counted("jet_matrix", jets.jet_matrix))
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(Polynomial, name, counted(name, getattr(Polynomial, name)))
+    rep = weierstrass_minors(V, cap=50)
+    assert rep.minors and calls == []
 
 
 def test_rank_equals_transpose_rank():

@@ -8,13 +8,15 @@ from helpers import (
     evaluation_image_dense_rank,
     oracle_d_gonal,
     oracle_hilbert,
+    oracle_minors,
+    random_dense_subspace,
     random_monomial_subspace,
     random_point_set,
     random_smooth_polytope,
     random_subspace,
     rational_point,
 )
-from jetorders.algebra import exponents_upto
+from jetorders.algebra import Polynomial, exponents_upto
 from jetorders.linalg import det_exact, rank_exact
 from jetorders.diffops import (
     annihilator_weight_dim,
@@ -331,6 +333,25 @@ def test_n_inj_max_matches_chart_origin_oracle():
             for v in P.vertices
         )
         assert by_oracle == toric.n_inj_max(P)
+
+
+def test_dense_minors_match_polynomial_determinant_oracle():
+    # the integer column DP over Taylor terms against Polynomial determinants
+    # of the symbolic jet matrix, whose entries come from
+    # Polynomial.derivative and share no code with SubspaceV.taylor_terms
+    rng = random.Random(47)
+    cases = [(random_dense_subspace(rng, nvars, max_dim=4, degree=3), 60)
+             for nvars in (1, 2) for _ in range(6)]
+    cases += [(random_dense_subspace(rng, 2, max_dim=5, degree=4), 60) for _ in range(2)]
+    x, y = (Polynomial.variable(i, 2) for i in range(2))
+    rational = SubspaceV(2, [Polynomial.constant(2, F(1, 2)), x * F(2, 3) + y * y,
+                             x * x * y * F(-5, 7) + y * F(1, 4), x * x * x * F(3, 5) - y])
+    cases += [(rational, 60), (rational, 4)]
+    for V, cap in cases:
+        rep = weierstrass_minors(V, cap=cap)
+        assert rep.minors and rep.truncated == (rep.total > cap)
+        assert list(rep.minors) == oracle_minors(V, rep.order, cap), V.basis
+    assert rep.truncated
 
 
 def test_minors_locus_two_variables():
