@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from .algebra import Polynomial, parse_rational
-from .diffops import evaluation_image, preserving_weight_space
+from .diffops import preserving_weight_space, weight_window
 from .jets import (
     GENERIC,
     DependentBasisError,
@@ -306,12 +306,13 @@ def _cmd_dv(args):
         _fail("E_SCHEMA", "dv requires a monomial space (weight grading)")
     if args.order < 0 or (args.weights is not None and args.weights < 0):
         _fail("E_SCHEMA", "--order and --weights must be >= 0")
-    image = evaluation_image(V, args.order)
+    # the End(V) image is the sum of dim_w - ann_w over the weights of P - P
+    # (see diffops); their bases are solved once and listed unless --weights
+    spaces = [preserving_weight_space(V, w, args.order) for w in weight_window(V)]
+    rank = sum(space.dimension - space.annihilator_dim for space in spaces)
     if args.weights is not None:
         spaces = [preserving_weight_space(V, w, args.order)
                   for w in sorted(_box_weights(V.nvars, args.weights))]
-    else:
-        spaces = image.spaces  # the weights of P - P, solved once by evaluation_image
     table = [{
         "weight": list(space.weight),
         "dim": space.dimension,
@@ -320,9 +321,9 @@ def _cmd_dv(args):
     } for space in spaces]
     result = {
         "order": args.order,
-        "end_image_rank": image.rank,
-        "end_dim": image.dim * image.dim,
-        "irreducible": image.rank == image.dim * image.dim,
+        "end_image_rank": rank,
+        "end_dim": V.dim * V.dim,
+        "irreducible": rank == V.dim * V.dim,
         "weights": table,
     }
     out = _report_envelope("dv", seed, json.loads(serialize_space(V)), result)

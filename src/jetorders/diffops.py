@@ -16,7 +16,9 @@ weight the image is the preserving slice modulo its annihilator, so
     rank = sum over w of (dim_w - ann_w),
 
 and V is irreducible iff every block reaches |{m in P : m + w in P}|.
-No dim x dim matrix is ever built.
+No dim x dim matrix is ever built.  `evaluation_image` reads dim_w and
+ann_w off two ranks of the weight's rows and builds no operator; only
+`preserving_weight_space` solves the kernel for an operator basis.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .algebra import (
     falling_factorial,
     op_apply,
 )
-from .linalg import nullspace, rank_exact
+from .linalg import nullspace, prefix_ranks, rank_exact
 
 
 def _normalize_points(points):
@@ -43,27 +45,23 @@ def _normalize_points(points):
     return [tuple(int(c) for c in p) for p in points]
 
 
-def _weight_constraints(points, weight, order):
-    """The weight-w terms alpha, the annihilator dimension of their span,
-    and the preservation rows.
+def _weight_rows(points, weight, order):
+    """The weight-w terms alpha and the integer rows ((m)_alpha)_alpha over
+    m in P, split into the leaving rows (m + w outside P) and the staying
+    rows (m + w in P).
 
-    Each m in P gives the integer row ((m)_alpha)_alpha.  All of them cut
-    out the annihilator slice, so its dimension is |terms| minus their
-    rank; the rows of the m with m + w outside P cut out the preserving
-    slice, whose basis the caller solves for."""
+    The leaving rows cut out the preserving slice; all rows together cut
+    out its annihilator."""
     if len(weight) != len(points[0]):
         raise ValueError(f"weight has {len(weight)} entries, expected {len(points[0])}")
     alphas, table = _falling_factorials(tuple(points), order)
     keep = [i for i, a in enumerate(alphas) if all(ai + wi >= 0 for ai, wi in zip(a, weight))]
     point_set = set(points)
-    rows = []
-    leaving = []
+    leaving, staying = [], []
     for m, full in zip(points, table):
-        row = [full[i] for i in keep]
-        rows.append(row)
-        if tuple(mi + wi for mi, wi in zip(m, weight)) not in point_set:
-            leaving.append(row)
-    return [alphas[i] for i in keep], len(keep) - rank_exact(rows, len(keep)), leaving
+        inside = tuple(mi + wi for mi, wi in zip(m, weight)) in point_set
+        (staying if inside else leaving).append([full[i] for i in keep])
+    return [alphas[i] for i in keep], leaving, staying
 
 
 @functools.lru_cache(maxsize=8)
@@ -93,7 +91,7 @@ def preserving_weight_space(points, weight, order):
     of the same slice."""
     points = _normalize_points(points)
     weight = tuple(int(w) for w in weight)
-    terms, ann, leaving = _weight_constraints(points, weight, order)
+    terms, leaving, staying = _weight_rows(points, weight, order)
     ops = []
     for vec in nullspace(leaving, len(terms)):
         op_terms = {}
@@ -107,15 +105,16 @@ def preserving_weight_space(points, weight, order):
         order=order,
         terms=tuple(terms),
         basis=tuple(ops),
-        annihilator_dim=ann,
+        annihilator_dim=len(terms) - rank_exact(leaving + staying, len(terms)),
     )
 
 
 def annihilator_weight_dim(points, weight, order):
     """Dimension of the weight-w slice of the order-<=n annihilator: one
     integer rank, no kernel basis."""
-    return _weight_constraints(_normalize_points(points),
-                               tuple(int(w) for w in weight), order)[1]
+    terms, leaving, staying = _weight_rows(_normalize_points(points),
+                                           tuple(int(w) for w in weight), order)
+    return len(terms) - rank_exact(leaving + staying, len(terms))
 
 
 def weight_window(points):
@@ -130,7 +129,6 @@ class EndImage:
     dim: int
     rank: int
     by_weight: tuple  # ((weight, preserving dim, annihilator dim), ...)
-    spaces: tuple  # the WeightSpace of each weight of P - P, in the same order
 
     @property
     def full(self):
@@ -140,14 +138,20 @@ class EndImage:
 def evaluation_image(V, order):
     """Span inside End(V) of all order-<=n operators preserving monomial V:
     the sum over the weights w of P - P of dim_w - ann_w (see the module
-    docstring)."""
+    docstring).
+
+    Both are ranks of the weight's rows, read off one elimination of their
+    transpose with the leaving rows first: dim_w = |terms| - rank(leaving)
+    and ann_w = |terms| - rank(all rows).  No kernel is solved."""
     points = _normalize_points(V)
-    spaces = tuple(preserving_weight_space(points, w, order)
-                   for w in weight_window(points))
-    by_weight = tuple((s.weight, s.dimension, s.annihilator_dim) for s in spaces)
+    by_weight = []
+    for w in weight_window(points):
+        terms, leaving, staying = _weight_rows(points, w, order)
+        split, total = prefix_ranks(list(zip(*leaving, *staying)), [len(leaving), len(points)])
+        by_weight.append((w, len(terms) - split, len(terms) - total))
     return EndImage(dim=len(points),
                     rank=sum(dim - ann for _, dim, ann in by_weight),
-                    by_weight=by_weight, spaces=spaces)
+                    by_weight=tuple(by_weight))
 
 
 def check_irreducible(V, order):

@@ -4,14 +4,8 @@ Everything here is integer/Fraction arithmetic; no floating point is used
 anywhere.  One fraction-free (Bareiss) elimination over Z, `_eliminate`,
 is the only elimination over Q: each row is first scaled by the lcm of its
 denominators, which changes neither the row space nor the pivot columns.
-Rank, the ranks of leading column blocks, reduced row echelon form,
-kernel, determinant and coordinates in a row basis are all read off its
-result.
-
-`rank_exact` tries a modular elimination (numpy, single word primes)
-first on large matrices.  A rank mod p is always a lower bound for the
-rational rank, so that pass is trusted only when it reaches
-min(rows, cols); otherwise the exact elimination decides.
+Rank, the ranks of leading column blocks, kernel, determinant and
+coordinates in a row basis are all read off its result.
 """
 
 from __future__ import annotations
@@ -19,13 +13,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
-
-import numpy as np
-
-_PRIMES = (1_000_003, 999_999_937)
-
-# matrices at least this large try the modular fast path first
-_MODULAR_MIN_DIM = 24
 
 
 def _as_integer_rows(rows):
@@ -41,33 +28,6 @@ def _as_integer_rows(rows):
     return out
 
 
-def _rank_mod_p(int_rows, ncols, p):
-    a = np.array([[v % p for v in row] for row in int_rows], dtype=np.int64)
-    nrows = a.shape[0]
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if a[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r, c:] = (a[r, c:] * inv) % p
-        col = a[r + 1:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size:
-            block = a[r + 1:, c:]
-            block[nz] = (block[nz] - np.outer(col[nz], a[r, c:])) % p
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
 def _eliminate(int_rows, ncols, reduced=False):
     """Fraction-free (Bareiss) elimination of an integer matrix.
 
@@ -78,7 +38,7 @@ def _eliminate(int_rows, ncols, reduced=False):
     Gauss-Jordan), so each row divided by its pivot entry is a row of the
     reduced row echelon form.  Stops as soon as every row holds a pivot.
     """
-    m = [list(row) for row in int_rows]
+    m = [list(row) for row in int_rows if any(row)]  # zero rows hold no pivot
     nrows = len(m)
     pivots = []
     prev = 1
@@ -124,13 +84,6 @@ def rank_exact(rows, ncols=None):
         return 0
     if ncols is None:
         ncols = len(ints[0])
-    if ncols == 0:
-        return 0
-    ceiling = min(len(ints), ncols)
-    if ceiling >= _MODULAR_MIN_DIM:
-        for p in _PRIMES:
-            if _rank_mod_p(ints, ncols, p) == ceiling:
-                return ceiling
     return len(_eliminate(ints, ncols)[1])
 
 
@@ -149,12 +102,6 @@ def det_exact(rows):
     n = len(rows)
     _, pivots, det = _eliminate(rows, n)
     return det if len(pivots) == n else 0
-
-
-def rref(rows, ncols):
-    """Reduced row echelon form over Fraction.  Returns (rows, pivot_cols)."""
-    reduced, pivots, _ = _eliminate(_as_integer_rows(rows), ncols, reduced=True)
-    return [[Fraction(a, row[pc]) for a in row] for row, pc in zip(reduced, pivots)], pivots
 
 
 def nullspace(rows, ncols):

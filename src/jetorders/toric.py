@@ -474,7 +474,7 @@ def _vertex_cone_normals(P, vertex):
     return [n for n, c, pts in P.facets if vertex in pts]
 
 
-def very_ample_check(P, search_bound=10, use_smooth_shortcut=True):
+def very_ample_check(P, search_bound=10):
     """Bounded saturation test of the vertex semigroups.
 
     Smooth polytopes short-circuit to True (each vertex semigroup is
@@ -484,7 +484,7 @@ def very_ample_check(P, search_bound=10, use_smooth_shortcut=True):
     """
     if P.dim != P.nvars:
         raise DegeneratePolytopeError("very-ampleness test needs a full-dimensional polytope")
-    if use_smooth_shortcut and P.smoothness.smooth:
+    if P.smoothness.smooth:
         return True
     if P.nvars > 3 or (P.nvars == 3 and not P.facets):
         raise UnsupportedPolytopeError(

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -180,27 +184,21 @@ def test_dv_solves_each_weight_once(tmp_path, capsys, monkeypatch):
 
 
 def test_dv_eliminates_no_matrix_wider_than_a_weight(tmp_path, capsys, monkeypatch):
-    # the End(V) rank is read off the weight blocks, so no elimination (exact
-    # or modular) sees a dim^2-wide matrix: each has at most one column per
-    # weight-w term
+    # the End(V) rank is read off the weight blocks, so no elimination sees a
+    # dim^2-wide matrix: each has at most one column per weight-w term
     from jetorders import diffops, linalg
     from jetorders.algebra import exponents_upto
 
     points = exponents_upto(2, 3)
     space = write(tmp_path, "s.json", {"nvars": 2, "monomials": [list(p) for p in points]})
     widths = []
-    eliminate, rank_mod_p = linalg._eliminate, linalg._rank_mod_p
+    eliminate = linalg._eliminate
 
     def counted_eliminate(rows, ncols, reduced=False):
         widths.append(ncols)
         return eliminate(rows, ncols, reduced)
 
-    def counted_rank_mod_p(rows, ncols, p):
-        widths.append(ncols)
-        return rank_mod_p(rows, ncols, p)
-
     monkeypatch.setattr(linalg, "_eliminate", counted_eliminate)
-    monkeypatch.setattr(linalg, "_rank_mod_p", counted_rank_mod_p)
     code, out, _ = run_cli(capsys, "dv", "--space", space, "--order", "3", "--json")
     assert code == 0 and json.loads(out)["result"]["irreducible"] is True
     widest = max(len(diffops.preserving_weight_space(points, w, 3).terms)
@@ -407,3 +405,14 @@ def test_fuzzed_documents_exit_2_with_error_code(tmp_path, capsys):
                 tried += 1
     assert not wrong, wrong
     assert tried > 150
+
+
+def test_package_does_not_import_numpy():
+    # every computation is exact Python integer arithmetic; a fresh
+    # interpreter loading the command line pulls in no numpy
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, jetorders.cli; print('numpy' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert run.stdout.strip() == "False"

@@ -4,6 +4,7 @@ import pytest
 
 from helpers import (
     evaluation_image_dense_rank,
+    oracle_rref,
     oracle_truncated_rank,
     random_dense_subspace,
     random_monomial_subspace,
@@ -99,6 +100,34 @@ def test_dense_cross_check_small():
         assert evaluation_image(V, n).rank == evaluation_image_dense_rank(V, n)
 
 
+def test_evaluation_image_solves_no_kernel_and_builds_no_operator(monkeypatch):
+    # the image is counted from ranks alone: no nullspace is solved and no
+    # DifferentialOperator is built, below and at the irreducible order
+    from jetorders import diffops, linalg
+    from jetorders.algebra import exponents_upto
+
+    calls = []
+    init, nullspace = DifferentialOperator.__init__, linalg.nullspace
+
+    def counted_init(self, *args, **kwargs):
+        calls.append("operator")
+        init(self, *args, **kwargs)
+
+    def counted_nullspace(rows, ncols):
+        calls.append("nullspace")
+        return nullspace(rows, ncols)
+
+    monkeypatch.setattr(DifferentialOperator, "__init__", counted_init)
+    monkeypatch.setattr(diffops, "nullspace", counted_nullspace)
+    monkeypatch.setattr(linalg, "nullspace", counted_nullspace)
+    for P, order in ((exponents_upto(2, 3), 3), (hirzebruch_points(1, 4, 2), 4)):
+        V = SubspaceV.from_monomials(2, P)
+        assert not check_irreducible(V, order - 1)
+        assert check_irreducible(V, order)
+        assert evaluation_image(V, order).rank == len(P) ** 2
+    assert calls == []
+
+
 def test_sl_generators():
     gens = sl_generators(1, 2)
     assert [str(g) for g in gens] == ["dx", "x*dx", "-x^2*dx + 2*x"]
@@ -160,7 +189,6 @@ def test_preserve_check_dimension_mismatch():
 def _algebra_closure_rank(mats, dim):
     """Dimension of the associative matrix algebra generated by mats (+ I)."""
     from fractions import Fraction
-    from jetorders.linalg import rref
 
     eye = [[Fraction(i == j) for j in range(dim)] for i in range(dim)]
 
@@ -175,7 +203,7 @@ def _algebra_closure_rank(mats, dim):
     rank = 0
     while True:
         rows = [flatten(m) for m in basis]
-        reduced, pivots = rref(rows, dim * dim)
+        reduced, pivots = oracle_rref(rows, dim * dim)
         if len(pivots) == rank:
             return rank
         rank = len(pivots)

@@ -79,10 +79,13 @@ def test_smooth_check():
 def test_very_ample():
     assert very_ample_check(simplex(1)) is True
     assert very_ample_check(simplex(2)) is True
-    # exercise the saturation scan itself
-    assert very_ample_check(simplex(2), search_bound=6, use_smooth_shortcut=False)
+    # non-smooth polytopes run the saturation scan itself: every lattice
+    # polygon is normal, and the points of the tetrahedron span only an
+    # index-2 sublattice
     bad = polytope_build(vertices=[(0, 0), (2, 0), (0, 1)])
-    assert isinstance(very_ample_check(bad, search_bound=5), bool)
+    assert very_ample_check(bad, search_bound=5) is True
+    tetra = polytope_build(points=[(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)])
+    assert very_ample_check(tetra, search_bound=3) is False
 
 
 def test_edge_stats():
