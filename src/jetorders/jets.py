@@ -265,11 +265,30 @@ def binomial_rows(points, n, zeros=()):
     a^(m - alpha) vanishes exactly when some coordinate in Z carries a
     positive exponent.  The same holds over the function field of the
     orbit {x_i = 0 for i in Z}, and with Z empty at the generic point.
+
+    Only the nonzero entries of a row m are written: alpha_i = m_i on Z,
+    alpha_i <= m_i elsewhere and |alpha| <= n, each found through a column
+    index and valued by per-coordinate binomials.
     """
     cols = exponents_upto(len(points[0]), n)
-    return [[binomial_product(m, a) if all(m[i] == a[i] for i in zeros) else 0
-             for a in cols]
-            for m in points]
+    index = {a: j for j, a in enumerate(cols)}
+    rows = []
+    for m in points:
+        # (alpha so far, product of binomials so far, degree left)
+        partial = [((), 1, n)]
+        for i, mi in enumerate(m):
+            if i in zeros:
+                partial = [(a + (mi,), c, left - mi) for a, c, left in partial
+                           if 0 <= mi <= left]
+            else:
+                binoms = [comb(mi, k) for k in range(min(mi, n) + 1)]
+                partial = [(a + (k,), c * binoms[k], left - k) for a, c, left in partial
+                           for k in range(min(mi, left) + 1)]
+        row = [0] * len(cols)
+        for a, c, _ in partial:
+            row[index[a]] = c
+        rows.append(row)
+    return rows
 
 
 def monomial_prefix_ranks(points, top, zeros=()):

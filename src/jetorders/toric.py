@@ -11,13 +11,23 @@ translate/slice recursion, and the toric jet orders n_surj / n1_surj.
 The Hilbert function of P is the jet-rank profile of C_empty
 (`jets.monomial_prefix_ranks`) of P translated to its coordinatewise
 minimum, which neither the translation nor the degree-preserving change
-from m^alpha to C(m, alpha) alters; d^g(P) buckets the later points b of
-each point a by the primitive direction of b - a.
+from m^alpha to C(m, alpha) alters.  It is built up to the least max |m|
+over the reflections x_i -> span_i - x_i of that set (`_hilbert_top`).
+d^g(P) buckets the later points b of each point a by the primitive
+direction of b - a.
+
+The face orders cut the vertex chart into slices (`_slices`).  The
+slices of all faces are translates of a few shapes, so each polytope
+keeps one memo of slice Hilbert functions, keyed by the translated shape
+(`_slice_hilbert`); it lives as long as the polytope.  The injectivity
+order of a face and the surjectivity order n1 of a codimension-1 orbit
+are both read off those profiles.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -48,15 +58,15 @@ class UnsupportedPolytopeError(ValueError):
 
 
 def _sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def _add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def _primitive(v):
@@ -117,6 +127,8 @@ class LatticePolytope:
         self.faces = tuple(faces)
         self.facets = tuple(facets)  # supporting data for cone computations
         self._charts = {}
+        # translated, sorted slice -> its HilbertResult (`_slice_hilbert`)
+        self._slice_hilbert = {}
 
     @cached_property
     def dim(self):
@@ -567,7 +579,8 @@ def n_inj_hilbert(points):
     degree-|alpha| polynomial C(m, alpha) alters the degree-<=l span, so
     the profile is that of C_empty of P translated to its coordinatewise
     minimum.  The rank rises by at least one per order until it reaches
-    |P|, and reaches it by max |m|.
+    |P|, and reaches it by max |m| of any affine lattice image of P with
+    m >= 0 (`_hilbert_top`).
     """
     pts = [tuple(p) for p in (points.points if isinstance(points, LatticePolytope) else points)]
     if not pts:
@@ -581,7 +594,7 @@ def n_inj_hilbert(points):
         return HilbertResult(0, (1,))
     low = [min(c) for c in zip(*pts)]
     shifted = [_sub(p, low) for p in pts]
-    top = min(max(map(sum, shifted)), npts - 1)
+    top = _hilbert_top(shifted)
     profile = []
     for r in monomial_prefix_ranks(shifted, top):
         if profile and r <= profile[-1]:
@@ -592,6 +605,28 @@ def n_inj_hilbert(points):
     raise InternalConsistencyError(
         f"Hilbert rank of {npts} points did not reach {npts} by order {top}"
     )
+
+
+def _hilbert_top(shifted):
+    """An order by which the Hilbert function of the non-negative points
+    `shifted`, each coordinate reaching 0, has reached their count.
+
+    C_empty of points m >= 0 has full row rank by order max |m|: its
+    entry (m, alpha) vanishes unless alpha <= m, and each row m has the
+    entry 1 in column m.  A reflection x_i -> span_i - x_i is an affine
+    lattice automorphism of the box, so every one of the 2^nvars
+    reflections gives a bound of its own; the least of them, and |P| - 1,
+    is taken.  The search is skipped when it has more reflections than the
+    unreflected bound has columns."""
+    nvars = len(shifted[0])
+    top = min(max(map(sum, shifted)), len(shifted) - 1)
+    if 2 ** nvars > comb(top + nvars, nvars):
+        return top
+    # each coordinate column as it is and reflected
+    columns = [(c, [max(c) - x for x in c]) for c in zip(*shifted)]
+    for picked in itertools.product(*columns):
+        top = min(top, max(map(sum, zip(*picked))))
+    return top
 
 
 # ---------------------------------------------------------------------------
@@ -637,28 +672,39 @@ def chart_subspace(P, vertex):
     return SubspaceV.from_monomials(P.nvars, P.chart(vertex)[0])
 
 
-def n_inj_face(P, face):
-    """Injectivity order along the orbit of a face: the maximum over all
-    translates H of the face's affine lattice of N_inj(H cap P) + d_H."""
-    _require_smooth(P)
-    if face not in P.faces:
-        face = _find_face(P, face)
-    vertex = face.spanning_vertex
-    chart, dirs = P.chart(vertex)
+def _slices(P, face):
+    """The chart of P at the face's spanning vertex cut into slices
+    {transverse coordinates: [tangent coordinates of each point]}."""
+    chart, dirs = P.chart(face.spanning_vertex)
     tangent = [i for i, d in enumerate(dirs) if d in face.directions]
     transverse = [i for i in range(P.nvars) if i not in tangent]
     slices = {}
     for c in chart:
         key = tuple(c[i] for i in transverse)
         slices.setdefault(key, []).append(tuple(c[i] for i in tangent))
+    return slices
+
+
+def _slice_hilbert(P, slice_pts):
+    """`n_inj_hilbert` of a slice of P, computed once per translated shape:
+    the Hilbert function does not change under translation."""
+    low = [min(c) for c in zip(*slice_pts)]
+    shape = tuple(sorted(_sub(p, low) for p in slice_pts))
+    if shape not in P._slice_hilbert:
+        P._slice_hilbert[shape] = n_inj_hilbert(shape)
+    return P._slice_hilbert[shape]
+
+
+def n_inj_face(P, face):
+    """Injectivity order along the orbit of a face: the maximum over all
+    translates H of the face's affine lattice of N_inj(H cap P) + d_H."""
+    _require_smooth(P)
+    if face not in P.faces:
+        face = _find_face(P, face)
     best = 0
-    for key, slice_pts in slices.items():
-        distance = sum(key)
-        if slice_pts and slice_pts[0] == ():
-            inner = 0
-        else:
-            inner = n_inj_hilbert(slice_pts).order
-        best = max(best, inner + distance)
+    for key, slice_pts in _slices(P, face).items():
+        inner = 0 if slice_pts[0] == () else _slice_hilbert(P, slice_pts).order
+        best = max(best, inner + sum(key))
     return best
 
 
@@ -726,19 +772,36 @@ def n1_surj_toric(P):
     coordinates 0, tangent coordinates free`, and the jet matrix over the
     function field of the orbit has the column-prefix ranks of the integer
     matrix C_Z with Z the transverse coordinates (`jets.binomial_rows`).
+    C_Z is block diagonal over the slices of the chart, so each face's
+    order is read off the slices' Hilbert profiles (`_face_generic_n_surj`).
     """
     return min(n1_surj_by_face(P).values())
 
 
 def _face_generic_n_surj(P, face):
-    """The last n whose first C(n + d, d) columns of C_Z are all pivots, from
-    one elimination up to the first order with more columns than |P|."""
-    chart, dirs = P.chart(face.spanning_vertex)
-    transverse = [i for i, d in enumerate(dirs) if d not in face.directions]
-    npts = len(P.points)
-    top = next(n for n in range(npts + 1) if comb(n + P.nvars, P.nvars) > npts)
-    ranks = monomial_prefix_ranks(chart, top, transverse)
-    return next(n for n, r in enumerate(ranks) if r < comb(n + P.nvars, P.nvars)) - 1
+    """The last n whose first C(n + nvars, nvars) columns of C_Z are all
+    pivots, Z the transverse coordinates of the face's chart.
+
+    An entry (m, alpha) of C_Z vanishes unless alpha_Z = m_Z, so C_Z is
+    block diagonal: block k holds the points with m_Z = k and the columns
+    with alpha_Z = k, and is C_empty of the slice S_k (tangent coordinates,
+    d of them) at order n - |k|.  The order-n columns are all pivots when
+    every block with |k| <= n has full column rank, so the order is the
+    minimum over k of |k| + sigma(S_k), where sigma(S) is the last j with
+    the Hilbert function of S at j equal to C(j + d, d).  An empty slice
+    has sigma = -1: a codimension-1 face has one transverse coordinate, and
+    its first value K + 1 with no slice bounds the order by K.  A slice
+    with d = 0 is one point and bounds nothing."""
+    slices = _slices(P, face)
+    best = next(k for k in itertools.count() if (k,) not in slices) - 1
+    for key, slice_pts in slices.items():
+        d = len(slice_pts[0])
+        if d == 0:
+            continue
+        profile = _slice_hilbert(P, slice_pts).profile
+        sigma = max(j for j, r in enumerate(profile) if r == comb(j + d, d))
+        best = min(best, sum(key) + sigma)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,13 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from jetorders.algebra import Polynomial, exponents_upto, falling_factorial, poly_divexact
+from jetorders.algebra import (
+    Polynomial,
+    binomial_product,
+    exponents_upto,
+    falling_factorial,
+    poly_divexact,
+)
 from jetorders.diffops import operator_matrix, weight_window
 from jetorders.jets import (
     GENERIC,
@@ -13,6 +19,7 @@ from jetorders.jets import (
     SubspaceV,
     generic_rank,
     jet_matrix,
+    monomial_prefix_ranks,
 )
 from jetorders.linalg import nullspace, rank_exact
 from jetorders.toric import (
@@ -239,6 +246,29 @@ def oracle_face_n_surj(P, face):
         if generic_rank(rows).value < comb(n + P.nvars, P.nvars):
             return n - 1
     raise AssertionError("order-|P| Taylor map cannot be surjective")
+
+
+def oracle_face_n_surj_cz(P, face):
+    """Reference surjectivity order at the generic point of a face's orbit
+    from the whole chart: one `monomial_prefix_ranks` of C_Z, Z the
+    transverse coordinates of the chart at the face's spanning vertex, up
+    to the first order with more columns than |P|; the order is the last n
+    whose first C(n + nvars, nvars) columns are all pivots."""
+    chart, dirs = vertex_chart(P, face.spanning_vertex)
+    transverse = [i for i, d in enumerate(dirs) if d not in face.directions]
+    npts = len(P.points)
+    top = next(n for n in range(npts + 1) if comb(n + P.nvars, P.nvars) > npts)
+    ranks = monomial_prefix_ranks(chart, top, transverse)
+    return next(n for n, r in enumerate(ranks) if r < comb(n + P.nvars, P.nvars)) - 1
+
+
+def oracle_binomial_rows(points, n, zeros=()):
+    """Reference C_Z, entry by entry over every column: C(m, alpha) when
+    alpha <= m and m_i = alpha_i for every i in `zeros`, and 0 otherwise."""
+    cols = exponents_upto(len(points[0]), n)
+    return [[binomial_product(m, a) if all(m[i] == a[i] for i in zeros) else 0
+             for a in cols]
+            for m in points]
 
 
 def oracle_d_gonal(P):

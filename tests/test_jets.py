@@ -3,13 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import random_subspace, rational_point
+from helpers import oracle_binomial_rows, random_subspace, rational_point
 from jetorders.algebra import Polynomial
 from jetorders.linalg import rank_exact
 from jetorders.jets import (
     GENERIC,
     DependentBasisError,
     SubspaceV,
+    binomial_rows,
     generic_rank,
     jet_matrix,
     n_inj_at,
@@ -311,6 +312,25 @@ def test_rank_equals_transpose_rank():
         pt = rational_point(rng, V.nvars)
         J = jet_matrix(V, rng.randint(0, V.max_degree), pt)
         assert rank_exact(J.entries) == rank_exact(list(zip(*J.entries)))
+
+
+def test_binomial_rows_match_dense_oracle():
+    # the sparse rows against the entry-by-entry comprehension, with rows
+    # whose zero coordinates exceed the order and rows with m_i = 0
+    rng = random.Random(64)
+    seen = set()
+    for _ in range(300):
+        nvars = rng.randint(1, 3)
+        n = rng.randint(0, 6)
+        zeros = tuple(i for i in range(nvars) if rng.random() < 0.4)
+        points = [tuple(rng.randint(0, 8) for _ in range(nvars))
+                  for _ in range(rng.randint(1, 6))]
+        assert binomial_rows(points, n, zeros) == oracle_binomial_rows(points, n, zeros), \
+            (points, n, zeros)
+        for m in points:
+            seen.update(("zero above order" for i in zeros if m[i] > n))
+            seen.update(("m_i = 0" for x in m if x == 0))
+    assert seen == {"zero above order", "m_i = 0"}
 
 
 def test_scan_reports_carry_generic_order():

@@ -145,6 +145,25 @@ def test_hilbert_and_d_gonal_match_lattice_oracles():
         assert d_gonal(pts) == oracle_d_gonal(pts), (kind, pts)
 
 
+def test_hilbert_of_reflected_point_sets_matches_lattice_oracle():
+    # reflections x_i -> c_i - x_i on random axes, then a translation: the
+    # order bound comes from the tightest reflection, the profile must not
+    # move
+    rng = random.Random(65)
+    for i in range(160):
+        nvars = rng.choice((1, 2, 3))
+        if i % 4 == 0:
+            pts = exponents_upto(nvars, rng.randint(1, 3))
+        else:
+            pts = random_point_set(rng, nvars=nvars, box=rng.randint(1, 4), max_size=9)
+        flip = [rng.random() < 0.5 for _ in range(nvars)]
+        centre = [rng.randint(0, 8) for _ in range(nvars)]
+        shift = [rng.randint(-20, 20) for _ in range(nvars)]
+        image = [tuple((c - x if f else x) + t for x, f, c, t in zip(p, flip, centre, shift))
+                 for p in pts]
+        assert n_inj_hilbert(image) == oracle_hilbert(image), (pts, flip, image)
+
+
 def test_minors_cut_out_exactly_the_weierstrass_points():
     rng = random.Random(26)
     tested = 0
@@ -429,6 +448,45 @@ def test_face_n1_surj_matches_symbolic_oracle():
             assert value == oracle_face_n_surj(P, face), (P.points, face.label())
             faces += 1
     assert faces >= 60
+
+
+def _lattice_image(rng, vertices):
+    """A seeded axis permutation, reflection and translation of a vertex
+    list, every coordinate kept non-negative."""
+    n = len(vertices[0])
+    perm = rng.sample(range(n), n)
+    flip = [rng.random() < 0.5 for _ in range(n)]
+    shift = [rng.randint(0, 5) for _ in range(n)]
+    top = [max(v[i] for v in vertices) for i in range(n)]
+    out = []
+    for v in vertices:
+        w = [top[i] - v[i] if flip[i] else v[i] for i in range(n)]
+        out.append(tuple(w[perm[i]] + shift[i] for i in range(n)))
+    return out
+
+
+def test_face_n1_surj_matches_whole_chart_prefix_ranks():
+    # the block formula over slice profiles against one elimination of the
+    # whole chart's C_Z, on every codimension-1 face
+    import jetorders.toric as toric
+    from helpers import oracle_face_n_surj_cz
+
+    rng = random.Random(66)
+    polys = [random_smooth_polytope(rng) for _ in range(40)]
+    assert any(P.nvars == 1 for P in polys)  # segments: the faces are vertices
+    simplices = [[(0,) * n] + [tuple(m * (i == j) for j in range(n)) for i in range(n)]
+                 for n, m in ((2, 4), (2, 6), (3, 2), (3, 3), (3, 4))]
+    hirzebruch = [[(0, 0), (k, 0), (0, l), (k - l * r, l)]
+                  for r, k, l in ((1, 4, 2), (1, 5, 3), (1, 6, 3), (2, 5, 2))]
+    for vertices in simplices + hirzebruch:
+        for _ in range(3):
+            polys.append(toric.polytope_build(vertices=_lattice_image(rng, vertices)))
+    faces = 0
+    for P in polys:
+        for face, value in toric.n1_surj_by_face(P).items():
+            assert value == oracle_face_n_surj_cz(P, face), (P.points, face.label())
+            faces += 1
+    assert faces >= 240
 
 
 def _linear_form_powers(rng):

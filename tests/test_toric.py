@@ -353,3 +353,81 @@ def test_lattice_row_basis_on_fibonacci_column():
     assert [row[0] for row in basis] == [1, 0]
     # the lattice keeps its index |det| = F_29
     assert basis[1][1] == fib[29]
+
+
+def test_n_inj_hilbert_width_from_the_tightest_reflection(monkeypatch):
+    # the Veronese (3,4) simplex reflected on every axis has |m| up to 12,
+    # but reflecting it back gives |m| <= 4, so C_empty stops at order 4;
+    # so does every other reflection of it
+    import itertools
+
+    from jetorders import jets
+    from jetorders.algebra import exponents_upto
+
+    orders = []
+    original = jets.binomial_rows
+
+    def recording(points, n, zeros=()):
+        orders.append(n)
+        return original(points, n, zeros)
+
+    monkeypatch.setattr(jets, "binomial_rows", recording)
+    simplex_points = exponents_upto(3, 4)
+    expected = n_inj_hilbert(simplex_points)
+    assert expected.order == 4
+    reflected = [tuple(4 - x for x in p) for p in simplex_points]
+    assert max(map(sum, reflected)) == 12
+    for flip in itertools.product((False, True), repeat=3):
+        orders.clear()
+        image = [tuple(4 - x if f else x for x, f in zip(p, flip)) for p in simplex_points]
+        assert n_inj_hilbert(image) == expected
+        assert orders and max(orders) <= 4, flip
+
+
+def _translated_slice_shapes(P):
+    """The distinct slices of every positive-dimensional face, each
+    translated to its coordinatewise minimum and sorted."""
+    shapes = set()
+    for face in P.faces:
+        if face.dim == 0:
+            continue
+        chart, dirs = vertex_chart(P, face.spanning_vertex)
+        tangent = [i for i, d in enumerate(dirs) if d in face.directions]
+        slices = {}
+        for c in chart:
+            key = tuple(x for i, x in enumerate(c) if i not in tangent)
+            slices.setdefault(key, []).append(tuple(c[i] for i in tangent))
+        for pts in slices.values():
+            low = [min(x) for x in zip(*pts)]
+            shapes.add(tuple(sorted(tuple(x - l for x, l in zip(p, low)) for p in pts)))
+    return shapes
+
+
+def test_toric_report_computes_each_slice_shape_once(monkeypatch):
+    from jetorders import jets
+
+    hilbert_args = []
+    zero_sets = []
+    original_hilbert = toric.n_inj_hilbert
+
+    def counted_hilbert(points):
+        hilbert_args.append(tuple(map(tuple, points)))
+        return original_hilbert(points)
+
+    def counted_prefix_ranks(points, top, zeros=(), _original=jets.monomial_prefix_ranks):
+        zero_sets.append(tuple(zeros))
+        return _original(points, top, zeros)
+
+    monkeypatch.setattr(toric, "n_inj_hilbert", counted_hilbert)
+    for module in (toric, jets):
+        monkeypatch.setattr(module, "monomial_prefix_ranks", counted_prefix_ranks)
+    box = polytope_build(points=[(i, j, k) for i in range(2) for j in range(3) for k in range(4)])
+    for P in (box, simplex(4, n=3)):
+        hilbert_args.clear()
+        zero_sets.clear()
+        rep = toric_report(P)
+        assert rep.n1_surj is not None
+        shapes = _translated_slice_shapes(P)
+        assert hilbert_args[0] == P.points
+        assert sorted(hilbert_args[1:]) == sorted(shapes)
+        assert zero_sets and not any(zero_sets)
