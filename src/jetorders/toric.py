@@ -16,6 +16,11 @@ over the reflections x_i -> span_i - x_i of that set (`_hilbert_top`).
 d^g(P) buckets the later points b of each point a by the primitive
 direction of b - a.
 
+The faces of a smooth polytope are read off its vertex charts, in every
+lattice rank (`LatticePolytope.faces`): chart coordinates are
+non-negative, so the face spanned by a set T of edges at a vertex holds
+exactly the points whose chart support lies in T.
+
 The face orders cut the vertex chart into slices (`_slices`).  The
 slices of all faces are translates of a few shapes, so each polytope
 keeps one memo of slice Hilbert functions, keyed by the translated shape
@@ -34,7 +39,7 @@ from functools import cached_property
 from math import comb, gcd
 
 from .jets import InternalConsistencyError, SubspaceV, monomial_prefix_ranks
-from .linalg import SpanChecker, det_exact, rank_exact
+from .linalg import _eliminate, det_exact, rank_exact
 
 
 class DegeneratePolytopeError(ValueError):
@@ -119,12 +124,11 @@ class Face:
 
 
 class LatticePolytope:
-    def __init__(self, nvars, points, vertices, edges, faces, facets):
+    def __init__(self, nvars, points, vertices, edges, facets):
         self.nvars = nvars
         self.points = tuple(sorted(points))
         self.vertices = tuple(sorted(vertices))
         self.edges = tuple(edges)
-        self.faces = tuple(faces)
         self.facets = tuple(facets)  # supporting data for cone computations
         self._charts = {}
         # translated, sorted slice -> its HilbertResult (`_slice_hilbert`)
@@ -138,6 +142,32 @@ class LatticePolytope:
     def smoothness(self):
         """The SmoothnessReport of `smooth_check`, evaluated once."""
         return smooth_check(self)
+
+    @cached_property
+    def faces(self):
+        """Every face of a smooth P, read off its vertex charts.
+
+        Chart coordinates at a vertex v are non-negative, so the face
+        spanned by a set T of v's edges is the set of points whose chart
+        support lies in T (the faces of a unimodular cone).  A face is
+        recorded at its least vertex only: T is skipped when an earlier
+        vertex's support lies in T.  A chart that fails the basis condition
+        raises BasisConditionError."""
+        faces = []
+        for i, v in enumerate(self.vertices):
+            chart, dirs = self.chart(v)
+            # supports as bit sets of chart coordinates, T likewise
+            supports = [sum(1 << k for k, x in enumerate(c) if x) for c in chart]
+            support_of = dict(zip(self.points, supports))
+            earlier = [support_of[u] for u in self.vertices[:i]]
+            for T in range(1 << len(dirs)):
+                if any(s | T == T for s in earlier):
+                    continue
+                points = tuple(p for p, s in zip(self.points, supports) if s | T == T)
+                vertices = tuple(u for u in self.vertices[i:] if support_of[u] | T == T)
+                directions = tuple(d for k, d in enumerate(dirs) if T >> k & 1)
+                faces.append(Face(len(directions), points, vertices, v, directions))
+        return tuple(faces)
 
     def chart(self, vertex):
         """`vertex_chart` at `vertex` in its default directions, built once
@@ -246,7 +276,8 @@ def polytope_build(points=None, vertices=None, edges=None):
     point of its own convex hull; missing points are an error, never
     silently filled in.  Above lattice rank 3 hull enumeration is not
     attempted: points, vertices and edges (as endpoint pairs) must all be
-    supplied explicitly.
+    supplied explicitly.  Faces are not built here: `LatticePolytope.faces`
+    reads them off the vertex charts when first asked for.
     """
     if points is None and vertices is None:
         raise ValueError("need points or vertices")
@@ -348,17 +379,16 @@ def polytope_build(points=None, vertices=None, edges=None):
         facets = [(n, c, tuple(sorted(p for p in all_points if _dot(n, p) == c)))
                   for n, c, _ in facets]
 
-    poly = LatticePolytope(nvars, all_points, vert, edges, (), facets)
-    faces = _build_faces(poly, adim)
-    return LatticePolytope(nvars, all_points, vert, edges, faces, poly.facets)
+    return LatticePolytope(nvars, all_points, vert, edges, facets)
 
 
 def _polytope_from_explicit_data(nvars, points, vertices, edge_pairs):
     """Lattice rank > 3: no hull enumeration; trust the supplied data.
 
-    Edge records are derived from the endpoint pairs; facet (codimension 1)
-    data is not representable, so the orbit operations that need it reject
-    these polytopes.
+    Edge records are derived from the endpoint pairs.  No facet normals
+    are kept, so the saturation scan of a non-smooth polytope is
+    unavailable; the faces of a smooth one come from its vertex charts as
+    in every rank, and with them every orbit order.
     """
     if points is None or vertices is None or edge_pairs is None:
         raise UnsupportedPolytopeError(
@@ -380,11 +410,7 @@ def _polytope_from_explicit_data(nvars, points, vertices, edge_pairs):
             raise NonSaturatedInputError(f"edge {(lo, hi)} passes through missing lattice points")
         edges.append(Edge((lo, hi), d, length))
     edges.sort(key=lambda e: e.endpoints)
-    poly = LatticePolytope(nvars, points, vertices, edges, (), ())
-    faces = [_face_record(poly, nvars, poly.points)]
-    faces += [_face_record(poly, 1, _segment_lattice_points(*e.endpoints)) for e in edges]
-    faces += [Face(0, (v,), (v,), v, ()) for v in vertices]
-    return LatticePolytope(nvars, points, vertices, edges, faces, ())
+    return LatticePolytope(nvars, points, vertices, edges, ())
 
 
 def _extremes_on_line(collinear_points):
@@ -393,33 +419,6 @@ def _extremes_on_line(collinear_points):
     d, _ = _primitive(_sub(ref, base))
     keyed = sorted(collinear_points, key=lambda p: _dot(_sub(p, base), d))
     return keyed[0], keyed[-1]
-
-
-def _face_record(poly, dim, face_points):
-    face_points = tuple(sorted(face_points))
-    vertices = tuple(sorted(set(face_points) & set(poly.vertices)))
-    spanning = vertices[0]
-    span = [list(_sub(p, spanning)) for p in face_points]
-    dirs = []
-    for _, d in poly.edges_at(spanning):
-        if rank_exact(span + [list(d)]) == dim:
-            dirs.append(d)
-    return Face(dim, face_points, vertices, spanning, tuple(sorted(dirs)))
-
-
-def _build_faces(poly, adim):
-    faces = []
-    if adim >= 1:
-        faces.append(_face_record(poly, adim, poly.points))
-    if adim >= 3:
-        for n, c, pts in poly.facets:
-            faces.append(_face_record(poly, 2, pts))
-    if adim >= 2:
-        for e in poly.edges:
-            faces.append(_face_record(poly, 1, _segment_lattice_points(*e.endpoints)))
-    for v in poly.vertices:
-        faces.append(Face(0, (v,), (v,), v, ()))
-    return faces
 
 
 # ---------------------------------------------------------------------------
@@ -634,22 +633,27 @@ def _hilbert_top(shifted):
 
 
 def _integer_inverse_unimodular(cols):
-    """Inverse of a unimodular integer matrix given by columns."""
+    """Inverse of a unimodular integer matrix given by columns.
+
+    One fraction-free Gauss-Jordan elimination of [D | I]: D is unimodular
+    when its columns hold the first n pivots and det D = +-1.  Every pivot
+    entry then equals the last pivot, +-1, so row k of the inverse is the
+    I block of row k times its pivot entry."""
     n = len(cols)
-    rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-    if det_exact(rows) not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    # row k of the inverse holds the coordinates of the k-th unit vector
-    span = SpanChecker(rows, n)
-    return [[int(c) for c in span.coordinates([int(i == k) for i in range(n)])]
-            for k in range(n)]
+    augmented = [[cols[j][i] for j in range(n)] + [int(i == j) for j in range(n)]
+                 for i in range(n)]
+    reduced, pivots, det = _eliminate(augmented, 2 * n, reduced=True)
+    if pivots[:n] != list(range(n)) or det not in (1, -1):
+        raise BasisConditionError("matrix is not unimodular")
+    return [[row[k] * x for x in row[n:]] for k, row in enumerate(reduced)]
 
 
 def vertex_chart(P, vertex, directions=None):
     """Coordinates of P - vertex in the basis at the vertex.
 
     Returns (chart point list aligned with P.points, direction tuple).
-    Only valid under the basis condition."""
+    Raises BasisConditionError unless the directions are a lattice basis of
+    nvars vectors in which every point has non-negative coordinates."""
     if directions is None:
         directions = P.vertex_directions(vertex)
     if len(directions) != P.nvars:
@@ -755,12 +759,7 @@ def n_surj_toric(P):
 def n1_surj_by_face(P):
     """Surjectivity order at the generic point of each codimension-1 orbit."""
     _require_smooth(P)
-    faces = P.codim1_faces()
-    if not faces:
-        raise UnsupportedPolytopeError(
-            "codimension-1 face data is only available for lattice rank <= 3"
-        )
-    return {face: _face_generic_n_surj(P, face) for face in faces}
+    return {face: _face_generic_n_surj(P, face) for face in P.codim1_faces()}
 
 
 def n1_surj_toric(P):
@@ -852,10 +851,7 @@ def toric_report(P, with_orders=True, very_ample_bound=10):
                             [value for _, value in face_orders])
         faces = tuple(sorted(face_orders))
         ns = n_surj_toric(P)
-        try:
-            n1 = n1_surj_toric(P)
-        except UnsupportedPolytopeError:
-            n1 = None  # explicit-data polytopes above rank 3 carry no facet data
+        n1 = n1_surj_toric(P)
     else:
         faces, nmax, ns, n1, vertex_orders = (), None, None, None, ()
     return ToricReport(

@@ -23,9 +23,11 @@ from jetorders.jets import (
 )
 from jetorders.linalg import nullspace, rank_exact
 from jetorders.toric import (
+    Face,
     HilbertResult,
     LatticePolytope,
     _primitive,
+    _segment_lattice_points,
     _sub,
     polytope_build,
     vertex_chart,
@@ -260,6 +262,31 @@ def oracle_face_n_surj_cz(P, face):
     top = next(n for n in range(npts + 1) if comb(n + P.nvars, P.nvars) > npts)
     ranks = monomial_prefix_ranks(chart, top, transverse)
     return next(n for n, r in enumerate(ranks) if r < comb(n + P.nvars, P.nvars)) - 1
+
+
+def oracle_faces(P):
+    """Reference face list of a polytope of lattice rank <= 3 from its hull
+    data: P itself, its facets (rank 3), its edges and its vertices.  Each
+    face is spanned at its least vertex, and its directions are the edges
+    there that stay in the face's affine span, one `rank_exact` per edge."""
+
+    def record(dim, face_points):
+        face_points = tuple(sorted(face_points))
+        vertices = tuple(sorted(set(face_points) & set(P.vertices)))
+        spanning = vertices[0]
+        span = [list(_sub(p, spanning)) for p in face_points]
+        dirs = [d for _, d in P.edges_at(spanning) if rank_exact(span + [list(d)]) == dim]
+        return Face(dim, face_points, vertices, spanning, tuple(sorted(dirs)))
+
+    faces = []
+    if P.dim >= 1:
+        faces.append(record(P.dim, P.points))
+    if P.dim >= 3:
+        faces += [record(2, pts) for _, _, pts in P.facets]
+    if P.dim >= 2:
+        faces += [record(1, _segment_lattice_points(*e.endpoints)) for e in P.edges]
+    faces += [Face(0, (v,), (v,), v, ()) for v in P.vertices]
+    return faces
 
 
 def oracle_binomial_rows(points, n, zeros=()):

@@ -234,6 +234,27 @@ def test_toric_non_smooth_exit_2(tmp_path, capsys):
     assert code == 0
 
 
+def test_toric_rank_four_explicit_documents(tmp_path, capsys):
+    import itertools
+
+    corners = [list(c) for c in itertools.product((0, 1), repeat=4)]
+    edges = [[a, b] for a, b in itertools.combinations(corners, 2)
+             if sum(x != y for x, y in zip(a, b)) == 1]
+    cube = write(tmp_path, "cube.json", {"points": corners, "vertices": corners, "edges": edges})
+    code, out, _ = run_cli(capsys, "toric", "--polytope", cube, "--report", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["result"]["n1_surj"] == 1 and doc["result"]["n_inj_max"] == 4
+    assert len(doc["result"]["n_inj_by_face"]) == 81
+    # conv{0, e1, e2, e3, 2 e4}: the edges at e1 span an index-2 sublattice
+    vertices = [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]]
+    bad = write(tmp_path, "bad.json", {
+        "points": vertices + [[0, 0, 0, 1]], "vertices": vertices,
+        "edges": [list(e) for e in itertools.combinations(vertices, 2)]})
+    code, _, err = run_cli(capsys, "toric", "--polytope", bad, "--report", "--json")
+    assert code == 2 and err.startswith("error[E_POLYTOPE]")
+
+
 def test_toric_rejects_non_saturated_points(tmp_path, capsys):
     poly = write(tmp_path, "p.json", {"points": [[0, 0], [2, 0], [0, 2], [2, 2]]})
     code, _, err = run_cli(capsys, "toric", "--polytope", poly, "--report")

@@ -1,8 +1,12 @@
 """Randomized invariants tying the modules together (all seeded)."""
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import comb
+
+import pytest
 
 from helpers import (
     evaluation_image_dense_rank,
@@ -463,6 +467,33 @@ def _lattice_image(rng, vertices):
         w = [top[i] - v[i] if flip[i] else v[i] for i in range(n)]
         out.append(tuple(w[perm[i]] + shift[i] for i in range(n)))
     return out
+
+
+def test_chart_faces_match_hull_oracle():
+    # the faces cut from the vertex charts against the rank route over the
+    # hull data, record by record, on lattice images of the toric bench
+    # classes and on random smooth polytopes (segments included)
+    import jetorders.toric as toric
+    from helpers import oracle_faces
+
+    rng = random.Random(67)
+    simplices = [[(0,) * n] + [tuple(m * (i == j) for j in range(n)) for i in range(n)]
+                 for n, m in ((2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4))]
+    hirzebruch = [[(0, 0), (k, 0), (0, l), (k - l * r, l)]
+                  for r, k, l in ((1, 4, 2), (1, 5, 3), (1, 6, 3))]
+    boxes = [list(itertools.product(*[(0, side) for side in sides]))
+             for sides in ((1, 1, 2), (1, 2, 2), (2, 2, 2), (1, 2, 3))]
+    polys = [toric.polytope_build(vertices=_lattice_image(rng, vertices))
+             for vertices in simplices + hirzebruch + boxes for _ in range(4)]
+    polys += [random_smooth_polytope(rng) for _ in range(200)]
+    assert any(P.nvars == 1 for P in polys)
+    for P in polys:
+        assert Counter(P.faces) == Counter(oracle_faces(P)), P.points
+    # a vertex chart that fails the basis condition stops the face pass
+    for bad in (toric.polytope_build(vertices=[(0, 0), (2, 0), (0, 1)]),
+                toric.polytope_build(points=[(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)])):
+        with pytest.raises(toric.BasisConditionError):
+            bad.faces
 
 
 def test_face_n1_surj_matches_whole_chart_prefix_ranks():

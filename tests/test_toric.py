@@ -259,8 +259,40 @@ def test_rank_four_explicit_data():
     assert d_gonal(P) == 2
     assert n_inj_hilbert(P.points).order == 4  # multilinear interpolation degree
     assert n_inj_max(P) == 4  # opposite corner, coordinate sum 4
-    with _pytest.raises(UnsupportedPolytopeError):
-        n1_surj_toric(P)  # no facet data above rank 3
+    assert n1_surj_toric(P) == 1  # faces come from the vertex charts in every rank
+
+
+def test_rank_four_faces_and_orders():
+    # the 4-cube, Delta_2 x Delta_2 and the Veronese (4, 2) simplex, each
+    # given by its points, vertices and edges
+    import itertools
+
+    from helpers import oracle_face_n_surj_cz
+    from jetorders.algebra import exponents_upto
+
+    cube = list(itertools.product((0, 1), repeat=4))
+    triangle = [(0, 0), (1, 0), (0, 1)]
+    product = [a + b for a in triangle for b in triangle]
+    simplex_vertices = [(0,) * 4] + [tuple(2 * (i == j) for j in range(4)) for i in range(4)]
+    examples = [  # (points, vertices, edges), face count, n1_surj, n_inj_max
+        ((cube, cube, [(a, b) for a, b in itertools.combinations(cube, 2)
+                       if sum(x != y for x, y in zip(a, b)) == 1]), 81, 1, 4),
+        ((product, product, [(p, q) for p, q in itertools.combinations(product, 2)
+                             if p[:2] == q[:2] or p[2:] == q[2:]]), 49, 1, 2),
+        ((exponents_upto(4, 2), simplex_vertices,
+          list(itertools.combinations(simplex_vertices, 2))), 31, 2, 2),
+    ]
+    for (points, vertices, edges), nfaces, n1, nmax in examples:
+        P = polytope_build(points=points, vertices=vertices, edges=edges)
+        assert len(P.faces) == nfaces, nfaces
+        codim1 = P.codim1_faces()
+        assert codim1 and all(f.dim == 3 for f in codim1)
+        assert n1_surj_toric(P) == n1 == min(oracle_face_n_surj_cz(P, f) for f in codim1)
+        rep = toric_report(P)
+        assert rep.n_inj_max == nmax and rep.n1_surj == n1
+        assert len(rep.n_inj_by_face) == nfaces
+        assert toric._checked_max([n_inj_vertex_formula(P, v) for v in P.vertices],
+                                  [n_inj_face(P, f) for f in P.faces]) == nmax
 
 
 def test_toric_report_computes_each_invariant_once(monkeypatch):
