@@ -31,6 +31,7 @@ from .diffops import (
     preserving_operators_truncated,
     preserving_weight_space,
     sl_generators,
+    weight_spaces,
     weight_window,
 )
 from .jets import (

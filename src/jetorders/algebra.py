@@ -32,10 +32,6 @@ def as_exact(value):
     return Fraction(value)
 
 
-def format_rational(q):
-    return str(Fraction(q))
-
-
 def exponents_upto(nvars, degree):
     """All exponent tuples with |alpha| <= degree, ordered by (degree, lex)."""
     out = []
@@ -110,6 +106,13 @@ class Polynomial:
                 if coeff:
                     cleaned[_check_exponent(exp, self.nvars)] = coeff
         self._terms = cleaned
+
+    @classmethod
+    def _trusted(cls, nvars, terms):
+        """From nonzero Fractions keyed by well-formed exponents, unchecked."""
+        p = object.__new__(cls)
+        p.nvars, p._terms = nvars, terms
+        return p
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -288,13 +291,13 @@ class Polynomial:
             factors = [f"{n}^{e}" if e > 1 else n for n, e in zip(names, exp) if e]
             body = "*".join(factors)
             if not body:
-                parts.append(format_rational(coeff))
+                parts.append(str(coeff))
             elif coeff == 1:
                 parts.append(body)
             elif coeff == -1:
                 parts.append(f"-{body}")
             else:
-                parts.append(f"{format_rational(coeff)}*{body}")
+                parts.append(f"{coeff}*{body}")
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
 
@@ -348,6 +351,9 @@ class DifferentialOperator:
                     key = (_check_exponent(beta, self.nvars), _check_exponent(alpha, self.nvars))
                     cleaned[key] = coeff
         self._terms = cleaned
+
+    # unchecked like Polynomial._trusted, terms keyed by (beta, alpha)
+    _trusted = classmethod(Polynomial._trusted.__func__)
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -456,13 +462,13 @@ class DifferentialOperator:
             factors += [f"{n}^{e}" if e > 1 else n for n, e in zip(dnames, alpha) if e]
             body = "*".join(factors)
             if not body:
-                parts.append(format_rational(coeff))
+                parts.append(str(coeff))
             elif coeff == 1:
                 parts.append(body)
             elif coeff == -1:
                 parts.append(f"-{body}")
             else:
-                parts.append(f"{format_rational(coeff)}*{body}")
+                parts.append(f"{coeff}*{body}")
         return " + ".join(parts).replace("+ -", "- ")
 
 

@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from .algebra import Polynomial, parse_rational
-from .diffops import preserving_weight_space, weight_window
+from .diffops import weight_spaces, weight_window
 from .jets import (
     GENERIC,
     DependentBasisError,
@@ -308,11 +308,10 @@ def _cmd_dv(args):
         _fail("E_SCHEMA", "--order and --weights must be >= 0")
     # the End(V) image is the sum of dim_w - ann_w over the weights of P - P
     # (see diffops); their bases are solved once and listed unless --weights
-    spaces = [preserving_weight_space(V, w, args.order) for w in weight_window(V)]
+    spaces = weight_spaces(V, weight_window(V), args.order)
     rank = sum(space.dimension - space.annihilator_dim for space in spaces)
     if args.weights is not None:
-        spaces = [preserving_weight_space(V, w, args.order)
-                  for w in sorted(_box_weights(V.nvars, args.weights))]
+        spaces = weight_spaces(V, sorted(_box_weights(V.nvars, args.weights)), args.order)
     table = [{
         "weight": list(space.weight),
         "dim": space.dimension,

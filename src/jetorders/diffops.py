@@ -5,25 +5,28 @@ combination of terms x^(alpha+w) d^alpha with alpha + w >= 0 and
 |alpha| <= n; it sends x^m to c_m x^(m+w) with c_m the falling-factorial
 sum of its coefficients.  Preservation of span{x^m : m in P} forces
 c_m = 0 whenever m + w falls outside P, and the annihilator slice is cut
-out by c_m = 0 for every m.  Both are integer linear conditions on the
-coefficients, one row ((m)_alpha)_alpha per m.
+out by c_m = 0 for every m: integer rows ((m)_alpha)_alpha, one per m.
 
-The image of all preserving operators inside End(V) is a direct sum over
-the weights of P - P: a weight-w operator only lands on the matrix units
-E_(m+w, m), and units of different weights are disjoint.  Within one
-weight the image is the preserving slice modulo its annihilator, so
+With s = max(0, -w), the terms are alpha = s + gamma, |gamma| <= k = n - |s|,
+and (m)_alpha = (m)_s (m - s)_gamma with (m)_s = 0 unless m >= s.  So the
+annihilator rank is the Hilbert function h_{P_s}(k) of
+P_s = {m - s : m in P, m >= s}, and the preserving slice is the kernel of
+the rows of the shifted leaving set L_w = {m - s : m >= s, m + w outside P}:
+`weight_spaces` takes one rank per s and one kernel per (s, L_w).
 
-    rank = sum over w of (dim_w - ann_w),
+A weight-w operator lands only on the matrix units E_(m+w, m), disjoint
+across weights, and within one weight its image in End(V) is the slice
+modulo its annihilator.  So
+
+    rank = sum over w in P - P of (dim_w - ann_w),  dim_w - ann_w = h_{P_s}(k) - h_{L_w}(k),
 
 and V is irreducible iff every block reaches |{m in P : m + w in P}|.
-No dim x dim matrix is ever built.  `evaluation_image` reads dim_w and
-ann_w off two ranks of the weight's rows and builds no operator; only
-`preserving_weight_space` solves the kernel for an operator basis.
+`evaluation_image` reads this off Hilbert functions: no kernel, no
+operator and no dim x dim matrix.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -34,7 +37,8 @@ from .algebra import (
     falling_factorial,
     op_apply,
 )
-from .linalg import nullspace, prefix_ranks, rank_exact
+from .jets import monomial_prefix_ranks
+from .linalg import nullspace, rank_exact
 
 
 def _normalize_points(points):
@@ -42,34 +46,36 @@ def _normalize_points(points):
         if points.monomial_points is None:
             raise ValueError("subspace has no monomial structure")
         return list(points.monomial_points)
-    return [tuple(int(c) for c in p) for p in points]
+    points = [tuple(int(c) for c in p) for p in points]
+    if any(c < 0 for p in points for c in p):
+        raise ValueError("monomial exponents must be non-negative")
+    return points
 
 
-def _weight_rows(points, weight, order):
-    """The weight-w terms alpha and the integer rows ((m)_alpha)_alpha over
-    m in P, split into the leaving rows (m + w outside P) and the staying
-    rows (m + w in P).
-
-    The leaving rows cut out the preserving slice; all rows together cut
-    out its annihilator."""
-    if len(weight) != len(points[0]):
-        raise ValueError(f"weight has {len(weight)} entries, expected {len(points[0])}")
-    alphas, table = _falling_factorials(tuple(points), order)
-    keep = [i for i, a in enumerate(alphas) if all(ai + wi >= 0 for ai, wi in zip(a, weight))]
-    point_set = set(points)
-    leaving, staying = [], []
-    for m, full in zip(points, table):
-        inside = tuple(mi + wi for mi, wi in zip(m, weight)) in point_set
-        (staying if inside else leaving).append([full[i] for i in keep])
-    return [alphas[i] for i in keep], leaving, staying
+def _hilbert(points, k):
+    """h_points(k): the rank of the rows ((p)_gamma)_gamma, |gamma| <= k."""
+    return monomial_prefix_ranks(points, k)[-1] if points and k >= 0 else 0
 
 
-@functools.lru_cache(maxsize=8)
-def _falling_factorials(points, order):
-    """Every |alpha| <= order and the table (m)_alpha over m in P; the
-    weights of one End(V) image share it, each taking its own columns."""
-    alphas = tuple(exponents_upto(len(points[0]), order))
-    return alphas, tuple(tuple(falling_factorial(m, a) for a in alphas) for m in points)
+def _weight_blocks(points, weights, order):
+    """(w, s, gammas, L_w, h_{P_s}(k)) for each weight w (module docstring);
+    P_s and its rank are found once per s."""
+    nvars, point_set, local = len(points[0]), set(points), {}
+    for w in weights:
+        if len(w) != nvars:
+            raise ValueError(f"weight has {len(w)} entries, expected {nvars}")
+        w = tuple(int(wi) for wi in w)
+        s = tuple(max(0, -wi) for wi in w)
+        if s not in local:
+            k = order - sum(s)
+            shifted = [tuple(mi - si for mi, si in zip(m, s))
+                       for m in points if all(mi >= si for mi, si in zip(m, s))]
+            local[s] = shifted, exponents_upto(nvars, k), _hilbert(shifted, k)
+        shifted, gammas, rank = local[s]
+        # m + w = (m - s) + max(w, 0)
+        leaving = tuple(p for p in shifted
+                        if tuple(pi + max(wi, 0) for pi, wi in zip(p, w)) not in point_set)
+        yield w, s, gammas, leaving, rank
 
 
 @dataclass(frozen=True)
@@ -85,36 +91,36 @@ class WeightSpace:
         return len(self.basis)
 
 
-def preserving_weight_space(points, weight, order):
-    """Exact basis of the weight-w slice of the order-<=n operators
-    preserving the monomial subspace on P, plus the annihilator dimension
-    of the same slice."""
+def weight_spaces(points, weights, order):
+    """The `WeightSpace` of each weight, in order: an exact basis of the
+    weight-w slice of the order-<=n operators preserving the monomial
+    subspace on P, plus the annihilator dimension of the same slice.
+    Weights of one shifted leaving set share one kernel, within this call."""
     points = _normalize_points(points)
-    weight = tuple(int(w) for w in weight)
-    terms, leaving, staying = _weight_rows(points, weight, order)
-    ops = []
-    for vec in nullspace(leaving, len(terms)):
-        op_terms = {}
-        for a, c in zip(terms, vec):
-            if c:
-                beta = tuple(ai + wi for ai, wi in zip(a, weight))
-                op_terms[(beta, a)] = c
-        ops.append(DifferentialOperator(len(weight), op_terms))
-    return WeightSpace(
-        weight=weight,
-        order=order,
-        terms=tuple(terms),
-        basis=tuple(ops),
-        annihilator_dim=len(terms) - rank_exact(leaving + staying, len(terms)),
-    )
+    kernels, spaces = {}, []
+    for w, s, gammas, leaving, rank in _weight_blocks(points, weights, order):
+        if (s, leaving) not in kernels:
+            rows = [[falling_factorial(p, g) for g in gammas] for p in leaving]
+            kernels[s, leaving] = nullspace(rows, len(gammas))
+        terms = [tuple(si + gi for si, gi in zip(s, g)) for g in gammas]
+        betas = [tuple(ai + wi for ai, wi in zip(a, w)) for a in terms]
+        basis = tuple(DifferentialOperator._trusted(len(w), {
+            (b, a): c for b, a, c in zip(betas, terms, vec) if c})
+            for vec in kernels[s, leaving])
+        spaces.append(WeightSpace(w, order, tuple(terms), basis, len(gammas) - rank))
+    return spaces
+
+
+def preserving_weight_space(points, weight, order):
+    """The `WeightSpace` of one weight (see `weight_spaces`)."""
+    return weight_spaces(points, [weight], order)[0]
 
 
 def annihilator_weight_dim(points, weight, order):
     """Dimension of the weight-w slice of the order-<=n annihilator: one
-    integer rank, no kernel basis."""
-    terms, leaving, staying = _weight_rows(_normalize_points(points),
-                                           tuple(int(w) for w in weight), order)
-    return len(terms) - rank_exact(leaving + staying, len(terms))
+    Hilbert function, no kernel basis."""
+    _, _, gammas, _, rank = next(_weight_blocks(_normalize_points(points), [weight], order))
+    return len(gammas) - rank
 
 
 def weight_window(points):
@@ -138,17 +144,14 @@ class EndImage:
 def evaluation_image(V, order):
     """Span inside End(V) of all order-<=n operators preserving monomial V:
     the sum over the weights w of P - P of dim_w - ann_w (see the module
-    docstring).
-
-    Both are ranks of the weight's rows, read off one elimination of their
-    transpose with the leaving rows first: dim_w = |terms| - rank(leaving)
-    and ann_w = |terms| - rank(all rows).  No kernel is solved."""
+    docstring), with dim_w = |terms| - h_{L_w}(k) and
+    ann_w = |terms| - h_{P_s}(k).  No kernel is solved."""
     points = _normalize_points(V)
-    by_weight = []
-    for w in weight_window(points):
-        terms, leaving, staying = _weight_rows(points, w, order)
-        split, total = prefix_ranks(list(zip(*leaving, *staying)), [len(leaving), len(points)])
-        by_weight.append((w, len(terms) - split, len(terms) - total))
+    leaving_ranks, by_weight = {}, []
+    for w, s, gammas, leaving, rank in _weight_blocks(points, weight_window(points), order):
+        if (s, leaving) not in leaving_ranks:
+            leaving_ranks[s, leaving] = _hilbert(leaving, order - sum(s))
+        by_weight.append((w, len(gammas) - leaving_ranks[s, leaving], len(gammas) - rank))
     return EndImage(dim=len(points),
                     rank=sum(dim - ann for _, dim, ann in by_weight),
                     by_weight=tuple(by_weight))

@@ -731,7 +731,7 @@ def _dense_minors(V, order, combos):
                     e.append(packed % base)
                     packed //= base
                 terms[tuple(e)] = Fraction(c, scale)
-            minors.append(Polynomial(nvars, terms))
+            minors.append(Polynomial._trusted(nvars, terms))
     return minors
 
 

@@ -16,12 +16,10 @@ from fractions import Fraction
 from .algebra import exponents_upto
 from .diffops import (
     all_preserve,
-    annihilator_weight_dim,
     check_irreducible,
     evaluation_image,
     hirzebruch_generators,
     sl_generators,
-    weight_window,
 )
 from .jets import SubspaceV, n_inj_at, weierstrass_minors, weierstrass_scan
 from .toric import (
@@ -288,7 +286,6 @@ def verify_hirzebruch(r, k, l, seed=0):
     report.check("generators preserve V", True, all_preserve(gens, V), FORMULA)
 
     n1 = min(l, k - l * r)
-    ann = max(annihilator_weight_dim(V, w, n) for w in weight_window(V)
-              for n in range(n1 + 1))
+    ann = max(ann for n in range(n1 + 1) for _, _, ann in evaluation_image(V, n).by_weight)
     report.check("annihilator vanishes up to n1_surj", 0, ann, FORMULA)
     return report

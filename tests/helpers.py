@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import comb
 
 from jetorders.algebra import (
+    DifferentialOperator,
     Polynomial,
     binomial_product,
     exponents_upto,
@@ -199,6 +200,25 @@ def evaluation_image_dense_rank(V, order):
         if nontrivial:
             flat.append([e for row in matrix for e in row])
     return rank_exact(flat, dim * dim) if flat else 0
+
+
+def oracle_weight_space(points, weight, order):
+    """The weight-w slice solved weight by weight: (terms, basis, ann).
+
+    Every term alpha with |alpha| <= order and alpha + w >= 0 gets a column,
+    every m in P the row ((m)_alpha)_alpha.  The basis is the kernel of the
+    rows with m + w outside P, and ann the dimension of the kernel of all
+    rows."""
+    terms = [a for a in exponents_upto(len(weight), order)
+             if all(ai + wi >= 0 for ai, wi in zip(a, weight))]
+    point_set = set(points)
+    rows = [[falling_factorial(m, a) for a in terms] for m in points]
+    leaving = [row for m, row in zip(points, rows)
+               if tuple(mi + wi for mi, wi in zip(m, weight)) not in point_set]
+    basis = [DifferentialOperator(len(weight), {
+        (tuple(ai + wi for ai, wi in zip(a, weight)), a): c for a, c in zip(terms, vec)})
+        for vec in nullspace(leaving, len(terms))]
+    return tuple(terms), basis, len(terms) - rank_exact(rows, len(terms))
 
 
 def oracle_truncated_rank(V, ops):

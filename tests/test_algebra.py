@@ -168,6 +168,19 @@ def test_floats_are_rejected():
         Polynomial.variable(0, 1) * 0.5
 
 
+def test_public_constructors_reject_bad_exponents():
+    with pytest.raises(ValueError, match="negative exponent"):
+        Polynomial(2, {(1, -1): 1})
+    with pytest.raises(ValueError, match="length"):
+        Polynomial(2, {(1, 0, 0): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        DifferentialOperator(2, {((0, 0), (1, -1)): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        DifferentialOperator(2, {((-1, 0), (1, 0)): 1})
+    with pytest.raises(ValueError, match="length"):
+        DifferentialOperator(2, {((0,), (1, 0)): 1})
+
+
 def test_parse_rational():
     assert parse_rational("3/4") == F(3, 4)
     assert parse_rational("-2") == -2

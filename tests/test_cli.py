@@ -160,27 +160,34 @@ def test_dv_command(tmp_path, capsys):
 
 
 def test_dv_solves_each_weight_once(tmp_path, capsys, monkeypatch):
-    from collections import Counter
+    # every weight of P - P is listed once, in order, and one kernel is
+    # solved per distinct negative part s = max(0, -w) and shifted leaving
+    # set {m - s : m >= s, m + w outside P}: weights sharing both share it
+    from jetorders import diffops
 
-    from jetorders import cli, diffops
+    points = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]
+    space = write(tmp_path, "s.json", {"nvars": 2, "monomials": [list(p) for p in points]})
+    calls = []
+    nullspace = diffops.nullspace
 
-    points = [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1]]
-    space = write(tmp_path, "s.json", {"nvars": 2, "monomials": points})
-    calls = Counter()
-    original = diffops.preserving_weight_space
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return nullspace(rows, ncols)
 
-    def counted(points, weight, order):
-        calls[tuple(weight)] += 1
-        return original(points, weight, order)
-
-    monkeypatch.setattr(diffops, "preserving_weight_space", counted)
-    monkeypatch.setattr(cli, "preserving_weight_space", counted)
-    code, out, _ = run_cli(capsys, "dv", "--space", space, "--order", "1", "--json")
+    monkeypatch.setattr(diffops, "nullspace", counted)
+    code, out, _ = run_cli(capsys, "dv", "--space", space, "--order", "2", "--json")
     assert code == 0
-    window = diffops.weight_window([tuple(p) for p in points])
-    assert sorted(calls) == window and set(calls.values()) == {1}
+    window = diffops.weight_window(points)
     doc = json.loads(out)
     assert [tuple(w["weight"]) for w in doc["result"]["weights"]] == window
+    blocks = set()
+    for w in window:
+        s = tuple(max(0, -wi) for wi in w)
+        leaving = frozenset(tuple(mi - si for mi, si in zip(m, s)) for m in points
+                            if all(mi >= si for mi, si in zip(m, s))
+                            and tuple(mi + wi for mi, wi in zip(m, w)) not in points)
+        blocks.add((s, leaving))
+    assert len(calls) == len(blocks) < len(window)
 
 
 def test_dv_eliminates_no_matrix_wider_than_a_weight(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from helpers import (
     evaluation_image_dense_rank,
     oracle_rref,
+    oracle_weight_space,
     oracle_truncated_rank,
     random_dense_subspace,
     random_monomial_subspace,
@@ -19,6 +21,7 @@ from jetorders.diffops import (
     preserve_check,
     preserving_weight_space,
     sl_generators,
+    weight_spaces,
     weight_window,
 )
 from jetorders.jets import SubspaceV
@@ -70,6 +73,63 @@ def test_weight_basis_maps_monomials_correctly():
                 target = tuple(a + b for a, b in zip(m, w))
                 assert image.support() == [target]
                 assert target in pset
+
+
+def _weight_space_point_set(rng, kind, nvars):
+    """A non-negative point set of one kind: a lower set, a lower set
+    translated or sheared, or random points in a box."""
+    if kind == "random":
+        return sorted(rng.sample(list(itertools.product(range(4), repeat=nvars)),
+                                 rng.randint(1, 6)))
+    tops = [tuple(rng.randint(0, 2) for _ in range(nvars)) for _ in range(rng.randint(1, 3))]
+    pts = sorted({p for top in tops for p in itertools.product(*(range(t + 1) for t in top))})
+    if kind == "translated":
+        shift = [rng.randint(0, 3) for _ in range(nvars)]
+        pts = [tuple(x + t for x, t in zip(p, shift)) for p in pts]
+    elif kind == "sheared" and nvars > 1:
+        # (x, y, ...) -> (x + a y, y, ...)
+        a = rng.randint(1, 2)
+        pts = [(p[0] + a * p[1],) + p[1:] for p in pts]
+    return pts
+
+
+def test_weight_spaces_match_per_weight_oracle():
+    # one rank per negative part s and one kernel per shifted leaving set
+    # give, weight by weight, the terms, basis and annihilator of the
+    # weight-by-weight route, on P - P and on a radius-2 box of weights
+    rng = random.Random(41)
+    kinds = ("lower", "translated", "sheared", "random")
+    empty_shifts = 0
+    for i in range(48):
+        nvars = 1 + i % 3
+        pts = _weight_space_point_set(rng, kinds[i // 3 % 4], nvars)
+        order = rng.randint(0, 4)
+        box = itertools.product(range(-2, 3), repeat=nvars)
+        weights = weight_window(pts) + sorted(set(box) - set(weight_window(pts)))
+        spaces = weight_spaces(pts, weights, order)
+        assert [ws.weight for ws in spaces] == weights
+        for w, ws in zip(weights, spaces):
+            terms, basis, ann = oracle_weight_space(pts, w, order)
+            assert ws.terms == terms, (pts, w, order)
+            assert ws.basis == tuple(basis), (pts, w, order)
+            assert [str(op) for op in ws.basis] == [str(op) for op in basis]
+            assert ws.annihilator_dim == ann == annihilator_weight_dim(pts, w, order)
+            s = [max(0, -wi) for wi in w]
+            if terms and not any(all(mi >= si for mi, si in zip(m, s)) for m in pts):
+                # P_s is empty: every term kills V, so the slice is all annihilator
+                empty_shifts += 1
+                assert ws.dimension == ws.annihilator_dim == len(terms)
+    assert empty_shifts
+
+
+def test_weight_space_with_empty_shifted_set():
+    # w = -2 on {1, x}: d^2 kills both monomials, so it preserves V and
+    # lies in the annihilator
+    ws = preserving_weight_space([(0,), (1,)], (-2,), 2)
+    assert [str(op) for op in ws.basis] == ["dx^2"]
+    assert ws.annihilator_dim == 1
+    with pytest.raises(ValueError, match="non-negative"):
+        weight_spaces([(0,), (-1,)], [(1,)], 1)
 
 
 def test_evaluation_image_examples():
