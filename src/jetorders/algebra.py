@@ -453,14 +453,13 @@ class DifferentialOperator:
         if not self._terms:
             return "0"
         names = _var_names(self.nvars)
-        dnames = tuple(f"d{n}" for n in names)
+        names += tuple(f"d{n}" for n in names)
+        items = self._terms.items()
+        if len(self._terms) > 1:
+            items = sorted(items, key=_term_order, reverse=True)
         parts = []
-        for (beta, alpha), coeff in sorted(
-            self._terms.items(), key=lambda t: (sum(t[0][1]), t[0][1], t[0][0]), reverse=True
-        ):
-            factors = [f"{n}^{e}" if e > 1 else n for n, e in zip(names, beta) if e]
-            factors += [f"{n}^{e}" if e > 1 else n for n, e in zip(dnames, alpha) if e]
-            body = "*".join(factors)
+        for (beta, alpha), coeff in items:
+            body = "*".join([f"{n}^{e}" if e > 1 else n for n, e in zip(names, beta + alpha) if e])
             if not body:
                 parts.append(str(coeff))
             elif coeff == 1:
@@ -470,6 +469,12 @@ class DifferentialOperator:
             else:
                 parts.append(f"{coeff}*{body}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def _term_order(item):
+    """Sort key of a term (beta, alpha) -> coeff: by order, then alpha, then beta."""
+    (beta, alpha), _ = item
+    return sum(alpha), alpha, beta
 
 
 def op_apply(D, p):

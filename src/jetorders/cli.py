@@ -125,8 +125,12 @@ def parse_space(text):
                 exp = json.loads(key)
             except json.JSONDecodeError:
                 _fail("E_SCHEMA", f"bad exponent key {key!r}")
-            terms[_parse_exponent(exp, nvars)] = _parse_rational_entry(value)
-        basis.append(Polynomial(nvars, terms))
+            exp = _parse_exponent(exp, nvars)
+            if exp in terms:
+                _fail("E_DUP_MONOMIAL", f"exponent {list(exp)} appears twice in one polynomial")
+            terms[exp] = _parse_rational_entry(value)
+        # checked above; an all-zero polynomial is left to SubspaceV (E_DEPENDENT)
+        basis.append(Polynomial._trusted(nvars, {e: c for e, c in terms.items() if c}))
     try:
         return SubspaceV(nvars, basis), doc
     except DependentBasisError as exc:
@@ -146,18 +150,20 @@ def _parse_exponent(value, nvars):
     return tuple(out)
 
 
+def _space_doc(V):
+    """The space document of V, with its keys in sorted order."""
+    if V.is_monomial:
+        return {"monomials": [list(m) for m in V.monomial_points], "nvars": V.nvars}
+    return {
+        "nvars": V.nvars,
+        "polynomials": [dict(sorted((json.dumps(list(e)), str(c)) for e, c in p.items()))
+                        for p in V.basis],
+    }
+
+
 def serialize_space(V):
     """Inverse of parse_space: parse_space(serialize_space(V)) == V."""
-    if V.is_monomial:
-        doc = {"nvars": V.nvars, "monomials": [list(m) for m in V.monomial_points]}
-    else:
-        doc = {
-            "nvars": V.nvars,
-            "polynomials": [
-                {json.dumps(list(e)): str(c) for e, c in p.items()} for p in V.basis
-            ],
-        }
-    return json.dumps(doc, sort_keys=True)
+    return json.dumps(_space_doc(V), sort_keys=True)
 
 
 def parse_polytope(text):
@@ -255,8 +261,7 @@ def _cmd_orders(args):
         rep = n_inj_at(V, GENERIC)
     else:
         rep = n_inj_at(V, _parse_point(args.at, V.nvars))
-    out = _report_envelope("orders", seed, json.loads(serialize_space(V)),
-                           rep.to_dict(), [rep.method])
+    out = _report_envelope("orders", seed, _space_doc(V), rep.to_dict(), [rep.method])
     _emit(args, out)
     return 0
 
@@ -274,8 +279,7 @@ def _cmd_scan(args):
             _fail("E_DIM", f"point {p!r} does not have {V.nvars} coordinates")
         points.append(tuple(_parse_rational_entry(c) for c in p))
     reports = weierstrass_scan(V, points)
-    out = _report_envelope("scan", seed, json.loads(serialize_space(V)),
-                           [r.to_dict() for r in reports],
+    out = _report_envelope("scan", seed, _space_doc(V), [r.to_dict() for r in reports],
                            sorted({r.method for r in reports}))
     _emit(args, out)
     return 0
@@ -294,7 +298,7 @@ def _cmd_minors(args):
         "truncated": rep.truncated,
         "minors": [str(m) for m in rep.minors],
     }
-    out = _report_envelope("minors", seed, json.loads(serialize_space(V)), result)
+    out = _report_envelope("minors", seed, _space_doc(V), result)
     _emit(args, out)
     return 0
 
@@ -325,7 +329,7 @@ def _cmd_dv(args):
         "irreducible": rank == V.dim * V.dim,
         "weights": table,
     }
-    out = _report_envelope("dv", seed, json.loads(serialize_space(V)), result)
+    out = _report_envelope("dv", seed, _space_doc(V), result)
     _emit(args, out)
     return 0
 

@@ -12,7 +12,9 @@ and (m)_alpha = (m)_s (m - s)_gamma with (m)_s = 0 unless m >= s.  So the
 annihilator rank is the Hilbert function h_{P_s}(k) of
 P_s = {m - s : m in P, m >= s}, and the preserving slice is the kernel of
 the rows of the shifted leaving set L_w = {m - s : m >= s, m + w outside P}:
-`weight_spaces` takes one rank per s and one kernel per (s, L_w).
+`weight_spaces` takes one rank per s and one kernel per (s, L_w).  A term
+whose column is zero (gamma <= p for no p in L_w) preserves V by itself:
+the kernel eliminates only the live columns, an all-zero one is a unit vector.
 
 A weight-w operator lands only on the matrix units E_(m+w, m), disjoint
 across weights, and within one weight its image in End(V) is the slice
@@ -58,8 +60,8 @@ def _hilbert(points, k):
 
 
 def _weight_blocks(points, weights, order):
-    """(w, s, gammas, L_w, h_{P_s}(k)) for each weight w (module docstring);
-    P_s and its rank are found once per s."""
+    """(w, s, gammas, terms = s + gammas, L_w, h_{P_s}(k)) for each weight w
+    (module docstring); all but w and L_w are found once per s."""
     nvars, point_set, local = len(points[0]), set(points), {}
     for w in weights:
         if len(w) != nvars:
@@ -70,12 +72,14 @@ def _weight_blocks(points, weights, order):
             k = order - sum(s)
             shifted = [tuple(mi - si for mi, si in zip(m, s))
                        for m in points if all(mi >= si for mi, si in zip(m, s))]
-            local[s] = shifted, exponents_upto(nvars, k), _hilbert(shifted, k)
-        shifted, gammas, rank = local[s]
+            gammas = exponents_upto(nvars, k)
+            terms = tuple(tuple(si + gi for si, gi in zip(s, g)) for g in gammas)
+            local[s] = shifted, gammas, terms, _hilbert(shifted, k)
+        shifted, gammas, terms, rank = local[s]
         # m + w = (m - s) + max(w, 0)
         leaving = tuple(p for p in shifted
                         if tuple(pi + max(wi, 0) for pi, wi in zip(p, w)) not in point_set)
-        yield w, s, gammas, leaving, rank
+        yield w, s, gammas, terms, leaving, rank
 
 
 @dataclass(frozen=True)
@@ -98,16 +102,17 @@ def weight_spaces(points, weights, order):
     Weights of one shifted leaving set share one kernel, within this call."""
     points = _normalize_points(points)
     kernels, spaces = {}, []
-    for w, s, gammas, leaving, rank in _weight_blocks(points, weights, order):
-        if (s, leaving) not in kernels:
+    for w, s, gammas, terms, leaving, rank in _weight_blocks(points, weights, order):
+        kernel = kernels.get((s, leaving))
+        if kernel is None:
             rows = [[falling_factorial(p, g) for g in gammas] for p in leaving]
-            kernels[s, leaving] = nullspace(rows, len(gammas))
-        terms = [tuple(si + gi for si, gi in zip(s, g)) for g in gammas]
-        betas = [tuple(ai + wi for ai, wi in zip(a, w)) for a in terms]
-        basis = tuple(DifferentialOperator._trusted(len(w), {
-            (b, a): c for b, a, c in zip(betas, terms, vec) if c})
-            for vec in kernels[s, leaving])
-        spaces.append(WeightSpace(w, order, tuple(terms), basis, len(gammas) - rank))
+            # (term index, coefficient) pairs; the zeros are ints, skipped in C
+            kernel = kernels[s, leaving] = [list(itertools.compress(enumerate(vec), vec))
+                                            for vec in nullspace(rows, len(terms))]
+        keys = [(tuple(ai + wi for ai, wi in zip(a, w)), a) for a in terms]
+        basis = tuple(DifferentialOperator._trusted(len(w), {keys[i]: c for i, c in pairs})
+                      for pairs in kernel)
+        spaces.append(WeightSpace(w, order, terms, basis, len(terms) - rank))
     return spaces
 
 
@@ -119,8 +124,8 @@ def preserving_weight_space(points, weight, order):
 def annihilator_weight_dim(points, weight, order):
     """Dimension of the weight-w slice of the order-<=n annihilator: one
     Hilbert function, no kernel basis."""
-    _, _, gammas, _, rank = next(_weight_blocks(_normalize_points(points), [weight], order))
-    return len(gammas) - rank
+    _, _, _, terms, _, rank = next(_weight_blocks(_normalize_points(points), [weight], order))
+    return len(terms) - rank
 
 
 def weight_window(points):
@@ -148,10 +153,10 @@ def evaluation_image(V, order):
     ann_w = |terms| - h_{P_s}(k).  No kernel is solved."""
     points = _normalize_points(V)
     leaving_ranks, by_weight = {}, []
-    for w, s, gammas, leaving, rank in _weight_blocks(points, weight_window(points), order):
+    for w, s, _, terms, leaving, rank in _weight_blocks(points, weight_window(points), order):
         if (s, leaving) not in leaving_ranks:
             leaving_ranks[s, leaving] = _hilbert(leaving, order - sum(s))
-        by_weight.append((w, len(gammas) - leaving_ranks[s, leaving], len(gammas) - rank))
+        by_weight.append((w, len(terms) - leaving_ranks[s, leaving], len(terms) - rank))
     return EndImage(dim=len(points),
                     rank=sum(dim - ann for _, dim, ann in by_weight),
                     by_weight=tuple(by_weight))

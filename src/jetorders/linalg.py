@@ -105,17 +105,27 @@ def det_exact(rows):
 
 
 def nullspace(rows, ncols):
-    """Basis of the right kernel, one Fraction vector per free column."""
-    reduced, pivots, _ = _eliminate(_as_integer_rows(rows), ncols, reduced=True)
-    pivot_set = set(pivots)
+    """Basis of the right kernel: the reduced row echelon basis, one vector
+    per free column in column order.  Only the live columns (nonzero in some
+    row) are eliminated; a zero column is free with its unit vector.  Entries
+    other than the free 1 and the nonzero pivot entries are the int 0."""
+    ints = _as_integer_rows(rows)
+    live = [c for c, column in enumerate(zip(*ints)) if any(column)]
+    local = {c: j for j, c in enumerate(live)}
+    reduced, pivots, _ = _eliminate([[r[c] for c in live] for r in ints], len(live), reduced=True)
+    pivot_cols = [live[p] for p in pivots]
+    pivot_set = set(pivot_cols)
     basis = []
     for fc in range(ncols):
         if fc in pivot_set:
             continue
-        v = [Fraction(0)] * ncols
+        v = [0] * ncols
         v[fc] = Fraction(1)
-        for row, pc in zip(reduced, pivots):
-            v[pc] = Fraction(-row[fc], row[pc])
+        j = local.get(fc)
+        if j is not None:
+            for row, p, pc in zip(reduced, pivots, pivot_cols):
+                if row[j]:
+                    v[pc] = Fraction(-row[j], row[p])
         basis.append(v)
     return basis
 

@@ -1,13 +1,15 @@
+import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from jetorders.cli import SpaceFileError, main, parse_space, serialize_space
+from jetorders.cli import SpaceFileError, _space_doc, main, parse_space, serialize_space
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +41,9 @@ def test_parse_space_error_codes():
         '{"nvars":2, "monomials":[[1]]}': "E_DIM",
         '{"nvars":1, "polynomials":[{"[0]":"x"}]}': "E_RATIONAL",
         '{"nvars":1, "polynomials":[{"[0]":"1"},{"[0]":"2"}]}': "E_DEPENDENT",
+        '{"nvars":1, "polynomials":[{"[0]":"0","[1]":"0/3"},{"[1]":"1"}]}': "E_DEPENDENT",
+        '{"nvars": 2, "polynomials": [{"[1, 0]": "2", "[1,0]": "3"}, {"[0, 1]": "1"}]}':
+            "E_DUP_MONOMIAL",
         '{"nvars":1}': "E_SCHEMA",
         'not json': "E_SCHEMA",
     }
@@ -58,6 +63,89 @@ def test_round_trip():
         assert W.nvars == V.nvars
         assert W.monomial_points == V.monomial_points
         assert list(W.basis) == list(V.basis)
+
+
+def test_parse_space_drops_zero_coefficients(tmp_path, capsys):
+    text = '{"nvars":2, "polynomials":[{"[0, 0]":"1","[1, 0]":"0"},{"[0, 1]":"3/4","[2, 0]":"-2"}]}'
+    V, _ = parse_space(text)
+    assert [p.items() for p in V.basis] == [
+        [((0, 0), 1)], [((0, 1), Fraction(3, 4)), ((2, 0), -2)]]
+    assert json.loads(serialize_space(V))["polynomials"] == [
+        {"[0, 0]": "1"}, {"[0, 1]": "3/4", "[2, 0]": "-2"}]
+    code, out, _ = run_cli(capsys, "orders", "--space", write(tmp_path, "s.json", text),
+                           "--generic", "--json")
+    assert code == 0 and json.loads(out)["inputs"] == json.loads(serialize_space(V))
+
+
+def test_space_echo_is_the_serialized_document():
+    # the report echoes the document dict itself, in the key order that a
+    # JSON round trip of serialize_space gives, so text reports keep it too
+    for text in (
+        '{"nvars":2, "monomials":[[3,0],[0,0],[1,2]]}',
+        '{"nvars":1, "polynomials":[{"[10]":"1","[2]":"-7","[0]":"1/3"},{"[1]":"2"}]}',
+    ):
+        V, _ = parse_space(text)
+        doc = _space_doc(V)
+        assert json.dumps(doc) == json.dumps(json.loads(serialize_space(V)))
+        W, _ = parse_space(serialize_space(V))
+        assert W.monomial_points == V.monomial_points and list(W.basis) == list(V.basis)
+
+
+# sha256 of the stdout of `dv --order n` for n = 0..4, concatenated, per space
+# and flags; recorded before the live-column kernels and the per-s term
+# tables, which changed no output.  An intended output change updates these.
+DV_SPACES = {
+    "lower": [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1]],
+    "translated": [[2, 3], [3, 3], [2, 4], [5, 1]],
+    "three_vars": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1]],
+    "one_point": [[1, 2]],
+}
+DV_DIGESTS = {
+    ("lower", ()):
+        "3f09e21f9edd4775f116d3e669b30cfff90e348ee1f2f4a9946830ff0bcbe64e",
+    ("lower", ("--json",)):
+        "2126ac9170a9cdb05f75a13c11382afad0c100142e157206462c4806b4c2fba0",
+    ("lower", ("--weights", "2")):
+        "2a5a4b000d7489106c6ed1ffee8d8f4c3c0c7ee0cba12f56c4092da516f00466",
+    ("lower", ("--json", "--weights", "2")):
+        "6d68ed76bfa84ad154f3a5a656613908c280eda14ad1a85463bbd64d1189ddd0",
+    ("translated", ()):
+        "bd3e51a93dd8b968a37bc24d1133f173236cebfdc91233f00448c3748cd3a079",
+    ("translated", ("--json",)):
+        "4f0ed302cdc657def08c4ffffe097e511d6ebe82c9e0ceaabdfde41a4c97d0fc",
+    ("translated", ("--weights", "2")):
+        "69f853fe17fc52efaf6d35066954c6cc3311df67e27641ba5ebef07018b657b0",
+    ("translated", ("--json", "--weights", "2")):
+        "497ecb3fffcd2474a426b508ccd6acaef093c6a59caeb2e172c43d20ce0488ed",
+    ("three_vars", ()):
+        "890e59d8823106ee968768563b34ec390812aba700f5e65cb8a6fdc9afd99767",
+    ("three_vars", ("--json",)):
+        "1fcd0b172ae518a60a272404343de50ed186ae04a5f2758c2422dad78bf6f2d3",
+    ("three_vars", ("--weights", "2")):
+        "5c7b1d19210982c720da31fba5a7d157de92ea0dfc3339da2d807668a9f0275d",
+    ("three_vars", ("--json", "--weights", "2")):
+        "e87595d0370cbb16eed7e42bc76a44c3f2daa3296759b4731fc0d38d394f4e3e",
+    ("one_point", ()):
+        "439ec8ba40179045967d9cc1f2ad345e5be09aee22febbca261480338d1548fd",
+    ("one_point", ("--json",)):
+        "e2ccfe0c1a99308b47113eb0d26dd2587d10bfa04580e97d78b5502ae016174b",
+    ("one_point", ("--weights", "2")):
+        "65b7af2b78db3b8e50c2c3b40b7e4ce3363998f350cb7a9784a1412a9f50e9f5",
+    ("one_point", ("--json", "--weights", "2")):
+        "1ae3f306b4c545a120f44ea750ecf7b41d9e6fbf050ff4dacc614d01162453fa",
+}
+
+
+def test_dv_output_is_pinned(tmp_path, capsys):
+    for (name, flags), expected in DV_DIGESTS.items():
+        points = DV_SPACES[name]
+        space = write(tmp_path, f"{name}.json", {"nvars": len(points[0]), "monomials": points})
+        digest = hashlib.sha256()
+        for order in range(5):
+            code, out, _ = run_cli(capsys, "dv", "--space", space, "--order", str(order), *flags)
+            assert code == 0
+            digest.update(out.encode())
+        assert digest.hexdigest() == expected, (name, flags)
 
 
 def test_orders_generic(tmp_path, capsys):

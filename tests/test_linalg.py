@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from helpers import oracle_det, oracle_rref
 
+from jetorders import linalg
 from jetorders.linalg import SpanChecker, det_exact, nullspace, rank_exact
 from jetorders.toric import _integer_inverse_unimodular
 
@@ -103,6 +104,63 @@ def test_kernel_against_oracles():
         assert [sum(c * row[j] for c, row in zip(coords, m)) for j in range(nc)] == vector
         if span.rank == nr:
             assert coords == coeffs
+
+
+def _sparse_matrix(rng, kind):
+    """A seeded matrix with zero columns among its live ones, zero rows among
+    its rows, or no rows at all: (rows, ncols)."""
+    nr, nc = rng.randint(0, 5), rng.randint(1, 8)
+    m = _random_matrix(rng, nr, nc, kind) if nr else []
+    dead = set(rng.sample(range(nc), rng.randint(0, nc)))
+    m = [[0 if c in dead else e for c, e in enumerate(row)] for row in m]
+    for _ in range(rng.randint(0, 2)):
+        m.insert(rng.randint(0, len(m)), [0] * nc)
+    return m, nc
+
+
+def test_kernel_with_zero_columns_and_zero_rows():
+    # the RREF basis of the oracle, value for value; the free column holds 1
+    # and every entry that is not a nonzero pivot entry is the int 0
+    rng = random.Random(23)
+    shapes = {"dead between live": 0, "no rows": 0, "zero row": 0}
+    for trial in range(400):
+        kind = KINDS[trial % len(KINDS)]
+        m, nc = _sparse_matrix(rng, kind)
+        reduced, pivots = oracle_rref(m, nc)
+        kernel = nullspace(m, nc)
+        assert kernel == _oracle_nullspace(reduced, pivots, nc), m
+        free = [c for c in range(nc) if c not in pivots]
+        for v, fc in zip(kernel, free):
+            assert v[fc] == 1 and all(not v[c] for c in free if c != fc)
+            assert all(type(e) is int for e in v if not e)
+            assert all(type(e) is F for e in v if e)
+        live = [c for c in range(nc) if any(row[c] for row in m)]
+        shapes["dead between live"] += bool(live) and len(live) < live[-1] - live[0] + 1
+        shapes["no rows"] += not m
+        shapes["zero row"] += any(not any(row) for row in m)
+    assert all(shapes.values()), shapes
+    assert nullspace([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert nullspace([[0, F(1, 2), 0, 0]], 4) == [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+def test_kernel_eliminates_only_live_columns(monkeypatch):
+    eliminate, seen = linalg._eliminate, []
+
+    def checked(int_rows, ncols, reduced=False):
+        int_rows = [list(row) for row in int_rows]
+        seen.append((int_rows, ncols))
+        return eliminate(int_rows, ncols, reduced)
+
+    monkeypatch.setattr(linalg, "_eliminate", checked)
+    rng = random.Random(24)
+    for trial in range(200):
+        m, nc = _sparse_matrix(rng, KINDS[trial % len(KINDS)])
+        assert nullspace(m, nc) == _oracle_nullspace(*oracle_rref(m, nc), nc)
+        int_rows, ncols = seen[-1]
+        assert ncols == sum(any(row[c] for row in m) for c in range(nc))
+        assert all(len(row) == ncols for row in int_rows)
+        assert all(any(row[c] for row in int_rows) for c in range(ncols))
+    assert len(seen) == 200
 
 
 def test_rank_exact_modular_side_against_oracle():
